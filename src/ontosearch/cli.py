@@ -208,15 +208,18 @@ def _cmd_triplets(args) -> int:
 def _cmd_train(args) -> int:
     train_set = read_triplets(args.triplets)
     dev_set = read_triplets(args.dev) if args.dev else None
-    cfg = TrainConfig(
-        margin=args.margin,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        warmup_fraction=args.warmup,
-        seed=args.seed,
-    )
-    model = SubwordEmbedder(bucket_count=args.buckets, dim=args.dim, seed=args.seed)
+    try:
+        cfg = TrainConfig(
+            margin=args.margin,
+            epochs=args.epochs,
+            batch_size=args.batch,
+            learning_rate=args.lr,
+            warmup_fraction=args.warmup,
+            seed=args.seed,
+        )
+        model = SubwordEmbedder(bucket_count=args.buckets, dim=args.dim, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"bad train flag: {exc}") from None
     model, history = train(model, train_set, dev_set, cfg)
     save_encoder(model, args.out)
     summary = {
@@ -290,6 +293,8 @@ def _cmd_eval(args) -> int:
         k_list = sorted({int(x) for x in args.k.split(",")})
     except ValueError:
         raise UsageError(f"bad --k value {args.k!r}") from None
+    if k_list[0] < 1:
+        raise UsageError(f"bad --k value {args.k!r}: every K must be >= 1")
     bundle = store.load_bundle(args.index)
     queries = evaluation.read_queries(args.queries, mode=args.mode)
 

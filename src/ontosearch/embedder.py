@@ -83,6 +83,8 @@ class SubwordEmbedder:
     ):
         if bucket_count < 1:
             raise ValueError("bucket_count must be >= 1")
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
         if ngram_min < 1 or ngram_max < ngram_min:
             raise ValueError("require 1 <= ngram_min <= ngram_max")
         self.bucket_count = bucket_count

@@ -8,8 +8,9 @@ text -- by different means:
 * ``Bm25Index``: Okapi BM25 where each concept's document is the token bag
   of all its labels, stop-words removed at index and query time.
 
-Both aggregate multiple labels of one concept by MAX and break score ties
-by ascending concept id, so result order is deterministic everywhere.
+Both score a text into a dense per-concept array plus the row that gives
+each concept its score; one shared core (``_search``) takes the MAX over a
+concept's labels and breaks score ties by ascending concept id.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +52,7 @@ class RankedHit:
     rank: int
 
     def to_dict(self) -> dict:
-        return {
-            "concept_id": self.concept_id,
-            "best_label": self.best_label,
-            "score": self.score,
-            "rank": self.rank,
-        }
+        return asdict(self)
 
 
 def hit_json_line(hit: RankedHit) -> str:
@@ -65,13 +62,47 @@ def hit_json_line(hit: RankedHit) -> str:
     return json.dumps(hit.to_dict(), ensure_ascii=False, separators=(",", ":"))
 
 
-def _rank(scored: dict[str, tuple[float, str]], k: int) -> list[RankedHit]:
-    """Top-k of {concept_id: (score, best_label)}; score desc, id asc."""
-    ordered = sorted(scored.items(), key=lambda item: (-item[1][0], item[0]))
-    return [
-        RankedHit(concept_id=cid, best_label=label, score=score, rank=i)
-        for i, (cid, (score, label)) in enumerate(ordered[:k], start=1)
-    ]
+def _search(index, texts: list[str], k: int, score) -> list[RankedHit]:
+    """The ranking path of every search entry point.
+
+    ``score(text)`` gives each concept's score and the row (into
+    ``index.concept_ids``/``index.labels``, -1 for no hit) that gives it.
+    The MAX over ``texts`` is strict, so on a tie the earlier text wins.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not texts:
+        raise EmptyQueryConcept("query concept has no labels")
+    best, rows = score(texts[0])
+    for text in texts[1:]:
+        scores, winners = score(text)
+        better = scores > best
+        best = np.where(better, scores, best)
+        rows = np.where(better, winners, rows)
+    hits = np.flatnonzero(rows >= 0)
+    top = hits[_top_k(best[hits], k)]
+    return [RankedHit(index.concept_ids[row], index.labels[row], value, rank)
+            for rank, (row, value) in enumerate(zip(rows[top].tolist(), best[top].tolist()), 1)]
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best scores, descending; ties keep position order,
+    which is ascending concept id in both indexes."""
+    candidates = np.arange(len(scores))
+    if k < len(scores):
+        cut = np.partition(scores, len(scores) - k)[len(scores) - k]
+        candidates = np.flatnonzero(~(scores < cut))  # NaN-safe ">= cut"
+    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+
+
+def _concept_runs(ids: list[str]) -> np.ndarray:
+    """Start row of each concept's run of rows.  Ties are broken by row
+    position, so each concept's rows must form one run and the runs must
+    ascend by concept id."""
+    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
+    if any(ids[a] >= ids[b] for a, b in zip(starts, starts[1:])):
+        raise MalformedLine("index rows must be grouped per concept in ascending id order")
+    return np.asarray(starts, dtype=np.intp)
 
 
 # --- vector index --------------------------------------------------------------
@@ -96,9 +127,28 @@ class VectorIndex:
         self.concept_ids = list(concept_ids)
         self.labels = list(labels)
         self.encoder_fingerprint = encoder_fingerprint
+        self._starts = _concept_runs(self.concept_ids)
+        self._concept_of_row = np.repeat(
+            np.arange(len(self._starts)), np.diff(self._starts, append=len(rows))
+        )
 
     def __len__(self) -> int:
         return len(self.concept_ids)
+
+    def score(self, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each concept's best cosine and its first row reaching it."""
+        q = np.asarray(query_vec, dtype=np.float64)
+        norm = float(np.linalg.norm(q))
+        if norm < _ZERO_NORM_EPS or len(self) == 0:
+            scores = np.zeros(len(self))
+        else:
+            scores = self.rows @ (q / norm)
+            np.clip(scores, -1.0, 1.0, out=scores)
+        best = np.maximum.reduceat(scores, self._starts)
+        below = scores < best[self._concept_of_row]  # NaN-safe "not the max"
+        rows = np.where(below, len(self), np.arange(len(self)))
+        winners = np.minimum.reduceat(rows, self._starts)
+        return scores[winners], winners
 
 
 def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
@@ -107,62 +157,27 @@ def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
     Rows are normalised to unit length; an all-zero embedding is kept as the
     zero row (it cosine-scores 0 against everything).
     """
-    concept_ids: list[str] = []
-    labels: list[str] = []
-    vectors: list[np.ndarray] = []
-    for cid in graph.sorted_ids():
-        for label in graph.concepts[cid].labels:
-            vec = np.asarray(encoder.embed(label), dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            if norm >= _ZERO_NORM_EPS:
-                vec = vec / norm
-            else:
-                vec = np.zeros(encoder.dim, dtype=np.float64)
-            concept_ids.append(cid)
-            labels.append(label)
-            vectors.append(vec)
-    rows = (
-        np.stack(vectors)
-        if vectors
-        else np.zeros((0, encoder.dim), dtype=np.float64)
-    )
+    pairs = [(cid, label) for cid in graph.sorted_ids() for label in graph.concepts[cid].labels]
+    rows = np.zeros((len(pairs), encoder.dim), dtype=np.float64)
+    for row, (_, label) in zip(rows, pairs):
+        vec = np.asarray(encoder.embed(label), dtype=np.float64)
+        norm = float(np.linalg.norm(vec))
+        if norm >= _ZERO_NORM_EPS:
+            row[:] = vec / norm
     return VectorIndex(
         dim=encoder.dim,
         rows=rows,
-        concept_ids=concept_ids,
-        labels=labels,
+        concept_ids=[cid for cid, _ in pairs],
+        labels=[label for _, label in pairs],
         encoder_fingerprint=encoder.fingerprint(),
     )
-
-
-def _concept_best(index: VectorIndex, query_vec: np.ndarray) -> dict[str, tuple[float, str]]:
-    """Cosine every row, then keep each concept's best-scoring label.
-
-    On a within-concept tie the earliest row (label-sequence order) wins.
-    """
-    q = np.asarray(query_vec, dtype=np.float64)
-    norm = float(np.linalg.norm(q))
-    if norm < _ZERO_NORM_EPS or len(index) == 0:
-        scores = np.zeros(len(index))
-    else:
-        scores = index.rows @ (q / norm)
-        np.clip(scores, -1.0, 1.0, out=scores)
-    best: dict[str, tuple[float, str]] = {}
-    for i, cid in enumerate(index.concept_ids):
-        score = float(scores[i])
-        current = best.get(cid)
-        if current is None or score > current[0]:
-            best[cid] = (score, index.labels[i])
-    return best
 
 
 def search_text(
     index: VectorIndex, query: str, k: int, encoder: Encoder
 ) -> list[RankedHit]:
     """Exact top-k concepts for a text query; k is clamped to the corpus."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _rank(_concept_best(index, encoder.embed(query)), k)
+    return search_concept(index, [query], k, encoder)
 
 
 def search_concept(
@@ -170,17 +185,7 @@ def search_concept(
 ) -> list[RankedHit]:
     """Concept-to-concept search: one text search per query label, with
     per-target-concept MAX aggregation across the labels."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not query_labels:
-        raise EmptyQueryConcept("query concept has no labels")
-    merged: dict[str, tuple[float, str]] = {}
-    for query in query_labels:
-        for cid, (score, label) in _concept_best(index, encoder.embed(query)).items():
-            current = merged.get(cid)
-            if current is None or score > current[0]:
-                merged[cid] = (score, label)
-    return _rank(merged, k)
+    return _search(index, query_labels, k, lambda text: index.score(encoder.embed(text)))
 
 
 # --- BM25 index -----------------------------------------------------------------
@@ -225,35 +230,72 @@ class Bm25Index:
         b: float = 0.75,
     ):
         self.concept_ids = list(concept_ids)
+        if len(_concept_runs(self.concept_ids)) != len(self.concept_ids):
+            raise MalformedLine("BM25 documents repeat a concept id")
         self.term_freqs = term_freqs
         self.preferred_labels = list(preferred_labels)
         self.stopwords = stopwords
         self.k1 = k1
         self.b = b
-        self.doc_lens = [sum(tf.values()) for tf in term_freqs]
         self.n_docs = len(concept_ids)
-        self.avgdl = (
-            sum(self.doc_lens) / self.n_docs if self.n_docs else 0.0
-        )
-        df: Counter[str] = Counter()
-        for tf in term_freqs:
-            df.update(tf.keys())
-        self.df = dict(df)
+        self.doc_lens = [sum(tf.values()) for tf in term_freqs]
+        self.avgdl = sum(self.doc_lens) / self.n_docs if self.n_docs else 0.0
+        # CSR postings: the term in slot s occurs in documents
+        # _doc[_indptr[s]:_indptr[s + 1]] with frequencies _tf[same range]
+        terms = list(chain.from_iterable(term_freqs))  # document-major
+        self._slots = {term: slot for slot, term in enumerate(dict.fromkeys(terms))}
+        slot_of = np.fromiter(map(self._slots.__getitem__, terms), np.intp, len(terms))
+        order = np.argsort(slot_of, kind="stable")
+        df = np.bincount(slot_of, minlength=len(self._slots))
+        self.df = dict(zip(self._slots, df.tolist()))
+        self._indptr = np.concatenate(([0], np.cumsum(df)))
+        self._doc = np.repeat(np.arange(self.n_docs), [len(tf) for tf in term_freqs])[order]
+        self._tf = np.fromiter(chain.from_iterable(map(dict.values, term_freqs)), np.int64)[order]
+        lens = np.asarray(self.doc_lens, dtype=np.float64)
+        self._norm = k1 * (1.0 - b + b * lens / self.avgdl) if self.avgdl else np.zeros(self.n_docs)
         self._pos = {cid: i for i, cid in enumerate(self.concept_ids)}
+        self._fingerprint: str | None = None
+
+    @property
+    def labels(self) -> list[str]:
+        """Row labels of the ranker contract: one row per concept."""
+        return self.preferred_labels
 
     def idf(self, term: str) -> float:
         df = self.df.get(term, 0)
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
+    def score_tokens(self, tokens: list[str]) -> np.ndarray:
+        """Every document's score, summed over the query's postings in token
+        order with the operations of the formula above, so a repeated term
+        counts twice; stop-words are dropped here."""
+        scores = np.zeros(self.n_docs)
+        for term in tokens:
+            slot = self._slots.get(term)
+            if slot is None or term in self.stopwords:
+                continue
+            lo, hi = self._indptr[slot], self._indptr[slot + 1]
+            docs, f = self._doc[lo:hi], self._tf[lo:hi]
+            scores[docs] += self.idf(term) * f * (self.k1 + 1.0) / (f + self._norm[docs])
+        return scores
+
+    def score(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of every concept for ``text``; zero scores are no hit."""
+        scores = self.score_tokens(tokenize(text))
+        return scores, np.where(scores > 0.0, np.arange(self.n_docs), -1)
+
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"bm25:{self.k1}:{self.b}:{self.n_docs}:".encode())
-        for cid, tf in zip(self.concept_ids, self.term_freqs):
-            h.update(cid.encode("utf-8") + b"\x00")
-            for term in sorted(tf):
-                h.update(f"{term}={tf[term]};".encode("utf-8"))
-        h.update("|".join(sorted(self.stopwords)).encode("utf-8"))
-        return h.hexdigest()
+        """Computed once: the index is never mutated after construction."""
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            h.update(f"bm25:{self.k1}:{self.b}:{self.n_docs}:".encode())
+            for cid, tf in zip(self.concept_ids, self.term_freqs):
+                h.update(cid.encode("utf-8") + b"\x00")
+                for term in sorted(tf):
+                    h.update(f"{term}={tf[term]};".encode("utf-8"))
+            h.update("|".join(sorted(self.stopwords)).encode("utf-8"))
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
 
 
 def build_bm25_index(
@@ -265,18 +307,13 @@ def build_bm25_index(
     """Index every concept as the stop-word-filtered token bag of all its
     labels concatenated."""
     stopwords = load_stopwords(stopwords_path)
-    concept_ids = graph.sorted_ids()
-    term_freqs: list[dict[str, int]] = []
-    preferred: list[str] = []
-    for cid in concept_ids:
-        concept = graph.concepts[cid]
-        tokens = [
-            t for label in concept.labels for t in tokenize(label)
-            if t not in stopwords
-        ]
-        term_freqs.append(dict(Counter(tokens)))
-        preferred.append(concept.preferred_label)
-    return Bm25Index(concept_ids, term_freqs, preferred, stopwords, k1=k1, b=b)
+    concepts = [graph.concepts[cid] for cid in graph.sorted_ids()]
+    term_freqs = [
+        dict(Counter(t for label in c.labels for t in tokenize(label) if t not in stopwords))
+        for c in concepts
+    ]
+    preferred = [c.preferred_label for c in concepts]
+    return Bm25Index([c.id for c in concepts], term_freqs, preferred, stopwords, k1=k1, b=b)
 
 
 def bm25_score(index: Bm25Index, query_tokens: list[str], concept_id: str) -> float:
@@ -285,60 +322,23 @@ def bm25_score(index: Bm25Index, query_tokens: list[str], concept_id: str) -> fl
     pos = index._pos.get(concept_id)
     if pos is None:
         raise UnknownConceptId(f"unknown concept id {concept_id!r}")
-    tf = index.term_freqs[pos]
-    dl = index.doc_lens[pos]
-    norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl) if index.avgdl else 0.0
-    score = 0.0
-    for term in query_tokens:
-        if term in index.stopwords:
-            continue
-        f = tf.get(term, 0)
-        if f == 0:
-            continue
-        score += index.idf(term) * f * (index.k1 + 1.0) / (f + norm)
-    return score
+    return float(index.score_tokens(query_tokens)[pos])
 
 
 def bm25_all_scores(index: Bm25Index, query: str) -> dict[str, float]:
     """Score every concept; only concepts with score > 0 appear."""
-    tokens = [t for t in tokenize(query) if t not in index.stopwords]
-    scores: dict[str, float] = {}
-    if not tokens:
-        return scores
-    for cid in index.concept_ids:
-        score = bm25_score(index, tokens, cid)
-        if score > 0.0:
-            scores[cid] = score
-    return scores
+    scores, rows = index.score(query)
+    return {index.concept_ids[r]: float(scores[r]) for r in rows[rows >= 0]}
 
 
 def bm25_search(index: Bm25Index, query: str, k: int) -> list[RankedHit]:
     """Top-k concepts by BM25; zero-score concepts never appear."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scored = {
-        cid: (score, index.preferred_labels[index._pos[cid]])
-        for cid, score in bm25_all_scores(index, query).items()
-    }
-    return _rank(scored, k)
+    return bm25_search_concept(index, [query], k)
 
 
 def bm25_search_concept(index: Bm25Index, query_labels: list[str], k: int) -> list[RankedHit]:
     """MAX aggregation over per-label BM25 scores, mirroring search_concept."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not query_labels:
-        raise EmptyQueryConcept("query concept has no labels")
-    merged: dict[str, float] = {}
-    for query in query_labels:
-        for cid, score in bm25_all_scores(index, query).items():
-            if score > merged.get(cid, 0.0):
-                merged[cid] = score
-    scored = {
-        cid: (score, index.preferred_labels[index._pos[cid]])
-        for cid, score in merged.items()
-    }
-    return _rank(scored, k)
+    return _search(index, query_labels, k, index.score)
 
 
 # --- persistence ---------------------------------------------------------------

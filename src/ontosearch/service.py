@@ -21,7 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from . import store
-from .errors import OntoSearchError, UsageError
+from .errors import OntoSearchError
 from .ranker import hit_json_line
 
 logger = logging.getLogger(__name__)
@@ -89,6 +89,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_error(self, status: int, code: str, message: str) -> None:
         self._send(status, json.dumps({"error": code, "message": message}))
 
+    def _send_hits(self, hits_array) -> None:
+        """200 with the hit array, or 400 with the code of the error raised."""
+        try:
+            self._send(200, hits_array())
+        except OntoSearchError as exc:
+            self._send_error(400, exc.code, exc.message)
+
     def _guard_ready(self) -> bool:
         if not self.service.ready:
             self._send_error(503, "app.Loading", "indexes are still loading")
@@ -124,12 +131,7 @@ class _Handler(BaseHTTPRequestHandler):
             if k is None:
                 return
             ranker = params.get("ranker", ["vector"])[0]
-            try:
-                self._send(200, self.service.hits_array(params["q"][0], k, ranker))
-            except UsageError as exc:
-                self._send_error(400, exc.code, exc.message)
-            except OntoSearchError as exc:
-                self._send_error(400, exc.code, exc.message)
+            self._send_hits(lambda: self.service.hits_array(params["q"][0], k, ranker))
             return
         if url.path.startswith("/concept/"):
             concept_id = unquote(url.path[len("/concept/"):])
@@ -155,21 +157,19 @@ class _Handler(BaseHTTPRequestHandler):
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._send_error(400, "app.UsageError", f"bad JSON body: {exc}")
             return
+        if not isinstance(body, dict):
+            self._send_error(400, "app.UsageError", "body must be a JSON object")
+            return
         labels = body.get("labels")
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             self._send_error(400, "app.UsageError", "body must carry labels: [str, ...]")
             return
         k = body.get("k", 10)
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             self._send_error(400, "app.UsageError", "k must be an integer >= 1")
             return
         ranker = body.get("ranker", "vector")
-        try:
-            self._send(200, self.service.match_array(labels, k, ranker))
-        except UsageError as exc:
-            self._send_error(400, exc.code, exc.message)
-        except OntoSearchError as exc:
-            self._send_error(400, exc.code, exc.message)
+        self._send_hits(lambda: self.service.match_array(labels, k, ranker))
 
     def log_message(self, format, *args):  # quiet by default
         logger.debug("%s - %s", self.address_string(), format % args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .embedder import Encoder, load_encoder, save_encoder
@@ -108,27 +109,25 @@ def query_hits(
     bundle: IndexBundle, text: str, k: int, ranker: str = "vector"
 ) -> list[RankedHit]:
     """Text-to-concept search through the named ranker."""
-    if ranker == "vector":
-        if bundle.vector is None or bundle.encoder is None:
-            raise UsageError("index has no vector ranker")
-        return search_text(bundle.vector, text, k, bundle.encoder)
-    if ranker == "bm25":
-        if bundle.bm25 is None:
-            raise UsageError("index has no bm25 ranker")
-        return bm25_search(bundle.bm25, text, k)
-    raise UsageError(f"unknown ranker {ranker!r} (expected vector or bm25)")
+    return _searches(bundle, ranker)[0](text, k)
 
 
 def match_hits(
     bundle: IndexBundle, labels: list[str], k: int, ranker: str = "vector"
 ) -> list[RankedHit]:
     """Concept-to-concept search (max over the query concept's labels)."""
+    return _searches(bundle, ranker)[1](labels, k)
+
+
+def _searches(bundle: IndexBundle, ranker: str) -> tuple:
+    """The named ranker's (text search, concept search) over ``bundle``."""
     if ranker == "vector":
         if bundle.vector is None or bundle.encoder is None:
             raise UsageError("index has no vector ranker")
-        return search_concept(bundle.vector, labels, k, bundle.encoder)
+        return (partial(search_text, bundle.vector, encoder=bundle.encoder),
+                partial(search_concept, bundle.vector, encoder=bundle.encoder))
     if ranker == "bm25":
         if bundle.bm25 is None:
             raise UsageError("index has no bm25 ranker")
-        return bm25_search_concept(bundle.bm25, labels, k)
+        return partial(bm25_search, bundle.bm25), partial(bm25_search_concept, bundle.bm25)
     raise UsageError(f"unknown ranker {ranker!r} (expected vector or bm25)")

@@ -351,6 +351,29 @@ class TestArgumentValidation:
         assert code == 2
         assert json.loads(err)["error"] == "app.UsageError"
 
+    @pytest.mark.parametrize("flag", [["--margin", "-1"], ["--margin", "0"],
+                                      ["--dim", "0"], ["--buckets", "0"],
+                                      ["--batch", "0"], ["--warmup", "2"]])
+    def test_train_bad_flag(self, capsys, tmp_path, flag):
+        trip = tmp_path / "t"
+        assert main(["triplets", *ontology_args(), "--out", str(trip)]) == 0
+        capsys.readouterr()
+        code, _, err = run(capsys, "train", "--triplets", str(trip / "train.tsv"),
+                           "--dim", "4", "--buckets", "16", *flag,
+                           "--out", str(tmp_path / "m.npz"))
+        assert code == 2
+        assert json.loads(err)["error"] == "app.UsageError"
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("ks", ["0", "1,0,5", "-3"])
+    def test_eval_k_below_one(self, capsys, built_index, tmp_path, ks):
+        queries = tmp_path / "q.tsv"
+        queries.write_text("q1\tLassitude\tasthenia\n", encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--index", str(built_index),
+                           "--queries", str(queries), "--k", ks)
+        assert code == 2
+        assert json.loads(err)["error"] == "app.UsageError"
+
 
 def declared_script(name):
     """The `module:function` target of `name` in pyproject's [project.scripts]."""
@@ -367,12 +390,20 @@ def assert_ingest_stats(result):
     assert json.loads(result.stdout)["concepts"] == 5, result.stderr
 
 
+def package_env():
+    """The environment of a child process that imports this package
+    (its source directory first on PYTHONPATH), without an install."""
+    import ontosearch
+
+    package_root = Path(ontosearch.__file__).resolve().parents[1]
+    pythonpath = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
 def test_console_script_entry_point():
     """The declared console script runs in its own process the way pip's
     generated wrapper runs it: load the entry point, take the arguments
     from sys.argv and exit with main's return code."""
-    import ontosearch
-
     target = declared_script("ontosearch")
     wrapper = (
         "import sys\n"
@@ -381,12 +412,17 @@ def test_console_script_entry_point():
         "sys.argv[0] = 'ontosearch'\n"
         "sys.exit(fn())\n"
     )
-    package_root = Path(ontosearch.__file__).resolve().parents[1]
-    pythonpath = [str(package_root), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     result = subprocess.run(
         [sys.executable, "-c", wrapper, "ingest", *ontology_args()],
-        capture_output=True, text=True, check=False, env=env,
+        capture_output=True, text=True, check=False, env=package_env(),
+    )
+    assert_ingest_stats(result)
+
+
+def test_python_dash_m():
+    result = subprocess.run(
+        [sys.executable, "-m", "ontosearch", "ingest", *ontology_args()],
+        capture_output=True, text=True, check=False, env=package_env(),
     )
     assert_ingest_stats(result)
 

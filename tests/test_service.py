@@ -187,6 +187,26 @@ class TestMatch:
         status, _ = post(f"{base}/match", {"labels": ["x"], "k": 0})
         assert status == 400
 
+    @pytest.mark.parametrize("body", [[1], "labels", 3, None])
+    def test_body_not_an_object_400(self, served, body):
+        base, _ = served
+        status, answer = post(f"{base}/match", body)
+        assert status == 400
+        assert json.loads(answer)["error"] == "app.UsageError"
+
+    @pytest.mark.parametrize("k", [True, False, 1.5, "3"])
+    def test_k_must_be_an_integer_not_a_bool(self, served, k):
+        base, _ = served
+        status, answer = post(f"{base}/match", {"labels": ["Asthenia"], "k": k})
+        assert status == 400
+        assert json.loads(answer)["error"] == "app.UsageError"
+
+    def test_unknown_ranker_400(self, served):
+        base, _ = served
+        status, answer = post(f"{base}/match", {"labels": ["Asthenia"], "ranker": "hybrid"})
+        assert status == 400
+        assert json.loads(answer)["error"] == "app.UsageError"
+
 
 def test_unknown_route_404(served):
     base, _ = served
