@@ -19,7 +19,8 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -52,7 +53,12 @@ class RankedHit:
     rank: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "concept_id": self.concept_id,
+            "best_label": self.best_label,
+            "score": self.score,
+            "rank": self.rank,
+        }
 
 
 def hit_json_line(hit: RankedHit) -> str:
@@ -157,18 +163,30 @@ def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
     Rows are normalised to unit length; an all-zero embedding is kept as the
     zero row (it cosine-scores 0 against everything).
     """
-    pairs = [(cid, label) for cid in graph.sorted_ids() for label in graph.concepts[cid].labels]
-    rows = np.zeros((len(pairs), encoder.dim), dtype=np.float64)
-    for row, (_, label) in zip(rows, pairs):
-        vec = np.asarray(encoder.embed(label), dtype=np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm >= _ZERO_NORM_EPS:
-            row[:] = vec / norm
+    concept_ids: list[str] = []
+    labels: list[str] = []
+    vectors: list[np.ndarray] = []
+    for cid in graph.sorted_ids():
+        for label in graph.concepts[cid].labels:
+            vec = np.asarray(encoder.embed(label), dtype=np.float64)
+            norm = float(np.linalg.norm(vec))
+            if norm >= _ZERO_NORM_EPS:
+                vec = vec / norm
+            else:
+                vec = np.zeros(encoder.dim, dtype=np.float64)
+            concept_ids.append(cid)
+            labels.append(label)
+            vectors.append(vec)
+    rows = (
+        np.stack(vectors)
+        if vectors
+        else np.zeros((0, encoder.dim), dtype=np.float64)
+    )
     return VectorIndex(
         dim=encoder.dim,
         rows=rows,
-        concept_ids=[cid for cid, _ in pairs],
-        labels=[label for _, label in pairs],
+        concept_ids=concept_ids,
+        labels=labels,
         encoder_fingerprint=encoder.fingerprint(),
     )
 
@@ -230,16 +248,19 @@ class Bm25Index:
         b: float = 0.75,
     ):
         self.concept_ids = list(concept_ids)
-        if len(_concept_runs(self.concept_ids)) != len(self.concept_ids):
-            raise MalformedLine("BM25 documents repeat a concept id")
+        # ties are broken by document position, which must be id order
+        if any(a >= b for a, b in zip(self.concept_ids, self.concept_ids[1:])):
+            raise MalformedLine("BM25 documents must have strictly ascending concept ids")
         self.term_freqs = term_freqs
         self.preferred_labels = list(preferred_labels)
         self.stopwords = stopwords
         self.k1 = k1
         self.b = b
-        self.n_docs = len(concept_ids)
         self.doc_lens = [sum(tf.values()) for tf in term_freqs]
-        self.avgdl = sum(self.doc_lens) / self.n_docs if self.n_docs else 0.0
+        self.n_docs = len(concept_ids)
+        self.avgdl = (
+            sum(self.doc_lens) / self.n_docs if self.n_docs else 0.0
+        )
         # CSR postings: the term in slot s occurs in documents
         # _doc[_indptr[s]:_indptr[s + 1]] with frequencies _tf[same range]
         terms = list(chain.from_iterable(term_freqs))  # document-major
@@ -279,11 +300,6 @@ class Bm25Index:
             scores[docs] += self.idf(term) * f * (self.k1 + 1.0) / (f + self._norm[docs])
         return scores
 
-    def score(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Scores of every concept for ``text``; zero scores are no hit."""
-        scores = self.score_tokens(tokenize(text))
-        return scores, np.where(scores > 0.0, np.arange(self.n_docs), -1)
-
     def fingerprint(self) -> str:
         """Computed once: the index is never mutated after construction."""
         if self._fingerprint is None:
@@ -307,13 +323,18 @@ def build_bm25_index(
     """Index every concept as the stop-word-filtered token bag of all its
     labels concatenated."""
     stopwords = load_stopwords(stopwords_path)
-    concepts = [graph.concepts[cid] for cid in graph.sorted_ids()]
-    term_freqs = [
-        dict(Counter(t for label in c.labels for t in tokenize(label) if t not in stopwords))
-        for c in concepts
-    ]
-    preferred = [c.preferred_label for c in concepts]
-    return Bm25Index([c.id for c in concepts], term_freqs, preferred, stopwords, k1=k1, b=b)
+    concept_ids = graph.sorted_ids()
+    term_freqs: list[dict[str, int]] = []
+    preferred: list[str] = []
+    for cid in concept_ids:
+        concept = graph.concepts[cid]
+        tokens = [
+            t for label in concept.labels for t in tokenize(label)
+            if t not in stopwords
+        ]
+        term_freqs.append(dict(Counter(tokens)))
+        preferred.append(concept.preferred_label)
+    return Bm25Index(concept_ids, term_freqs, preferred, stopwords, k1=k1, b=b)
 
 
 def bm25_score(index: Bm25Index, query_tokens: list[str], concept_id: str) -> float:
@@ -325,10 +346,34 @@ def bm25_score(index: Bm25Index, query_tokens: list[str], concept_id: str) -> fl
     return float(index.score_tokens(query_tokens)[pos])
 
 
-def bm25_all_scores(index: Bm25Index, query: str) -> dict[str, float]:
+class Bm25Scores(Mapping):
+    """One text's BM25 scores as the dense arrays of the ranker contract
+    (zero scores are no hit, row -1); read as a mapping, it holds
+    {concept_id: score} for the concepts scoring > 0."""
+
+    def __init__(self, index: Bm25Index, scores: np.ndarray):
+        self.index = index
+        self.scores = scores
+        self.hits = np.flatnonzero(scores > 0.0)
+        self.rows = np.full(len(scores), -1)
+        self.rows[self.hits] = self.hits
+
+    def __len__(self) -> int:
+        return len(self.hits)
+
+    def __iter__(self) -> Iterator[str]:
+        return (self.index.concept_ids[r] for r in self.hits.tolist())
+
+    def __getitem__(self, concept_id: str) -> float:
+        pos = self.index._pos.get(concept_id)
+        if pos is None or self.rows[pos] < 0:
+            raise KeyError(concept_id)
+        return float(self.scores[pos])
+
+
+def bm25_all_scores(index: Bm25Index, query: str) -> Bm25Scores:
     """Score every concept; only concepts with score > 0 appear."""
-    scores, rows = index.score(query)
-    return {index.concept_ids[r]: float(scores[r]) for r in rows[rows >= 0]}
+    return Bm25Scores(index, index.score_tokens(tokenize(query)))
 
 
 def bm25_search(index: Bm25Index, query: str, k: int) -> list[RankedHit]:
@@ -338,7 +383,12 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[RankedHit]:
 
 def bm25_search_concept(index: Bm25Index, query_labels: list[str], k: int) -> list[RankedHit]:
     """MAX aggregation over per-label BM25 scores, mirroring search_concept."""
-    return _search(index, query_labels, k, index.score)
+
+    def score(text: str) -> tuple[np.ndarray, np.ndarray]:
+        scores = bm25_all_scores(index, text)
+        return scores.scores, scores.rows
+
+    return _search(index, query_labels, k, score)
 
 
 # --- persistence ---------------------------------------------------------------

@@ -7,23 +7,30 @@
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from synthdata import synthetic_ontology
 
 from ontosearch.embedder import StaticWordVectors, SubwordEmbedder, tokenize
+from ontosearch.errors import MalformedLine
 from ontosearch.ontology import Concept, OntologyGraph
 from ontosearch.ranker import (
     RankedHit,
+    VectorIndex,
     build_bm25_index,
     build_vector_index,
+    bm25_all_scores,
     bm25_score,
     bm25_search,
     bm25_search_concept,
     hit_json_line,
+    load_bm25_index,
+    save_bm25_index,
     search_concept,
     search_text,
 )
@@ -200,3 +207,40 @@ def test_every_entry_point_equals_the_reference(onto, texts, k):
     tokens = [t for text in texts for t in tokenize(text)]
     for pos, cid in enumerate(bm25.concept_ids):
         assert bm25_score(bm25, tokens, cid) == reference_bm25_score(bm25, tokens, pos)
+    scores = bm25_all_scores(bm25, texts[0])
+    expected = {cid: reference_bm25_score(bm25, tokenize(texts[0]), pos)
+                for pos, cid in enumerate(bm25.concept_ids)}
+    expected = {cid: score for cid, score in expected.items() if score > 0.0}
+    assert len(scores) == len(expected) and dict(scores) == expected
+
+
+# --- row order checks --------------------------------------------------------------
+
+
+def _bm25_file(tmp_path, concept_ids):
+    graph = OntologyGraph([Concept(id=c, labels=(f"{c} pain",), parent_ids=frozenset())
+                           for c in sorted(concept_ids)])
+    path = tmp_path / "bm25.json"
+    save_bm25_index(build_bm25_index(graph), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    order = [payload["concept_ids"].index(c) for c in concept_ids]
+    for key in ("concept_ids", "term_freqs", "preferred_labels"):
+        payload[key] = [payload[key][i] for i in order]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("concept_ids", [["b", "a", "c"], ["a", "c", "b"]])
+def test_bm25_file_with_unsorted_ids_is_rejected(tmp_path, concept_ids):
+    with pytest.raises(MalformedLine, match="strictly ascending concept ids"):
+        load_bm25_index(_bm25_file(tmp_path, concept_ids))
+
+
+def test_bm25_file_with_sorted_ids_loads(tmp_path):
+    assert load_bm25_index(_bm25_file(tmp_path, ["a", "b", "c"])).concept_ids == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("concept_ids", [["a", "b", "a"], ["b", "b", "a"]])
+def test_vector_rows_not_grouped_in_id_order_are_rejected(concept_ids):
+    with pytest.raises(MalformedLine, match="grouped per concept"):
+        VectorIndex(1, np.ones((3, 1)), concept_ids, ["x", "y", "z"])
