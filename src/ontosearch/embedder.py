@@ -28,12 +28,15 @@ from .errors import (
     MissingEmbedding,
 )
 from .npzio import save_arrays
-from .rng import SplitMix64, fnv1a64
+from .rng import fnv1a64, uniform_array
 
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ZERO_NORM_EPS = 1e-12
+# Distinct tokens whose bucket ids a SubwordEmbedder keeps; past this, new
+# tokens are hashed on every use, so a long-running service stays bounded.
+TOKEN_MEMO_CAP = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -67,7 +70,7 @@ class SubwordEmbedder:
     64-bit FNV-1a over its UTF-8 bytes, modulo ``bucket_count``.  A text
     embeds to the mean of its feature rows; no features gives the zero
     vector.  The table initialises uniformly in [-0.5/dim, 0.5/dim] from
-    ``seed``.
+    ``seed``, drawn row-major from one SplitMix64 stream.
     """
 
     kind = "subword"
@@ -93,14 +96,9 @@ class SubwordEmbedder:
         self.ngram_max = ngram_max
         self.seed = seed
         if table is None:
-            rng = SplitMix64(seed)
             scale = 0.5 / dim
-            flat = np.fromiter(
-                (rng.uniform(-scale, scale) for _ in range(bucket_count * dim)),
-                dtype=np.float64,
-                count=bucket_count * dim,
-            )
-            table = flat.reshape(bucket_count, dim)
+            table = uniform_array(seed, bucket_count * dim, -scale, scale)
+            table = table.reshape(bucket_count, dim)
         else:
             table = np.asarray(table, dtype=np.float64)
             if table.shape != (bucket_count, dim):
@@ -110,24 +108,34 @@ class SubwordEmbedder:
             if not np.isfinite(table).all():
                 raise ValueError("embedding table has non-finite entries")
         self.table = table
-        self._feature_cache: dict[str, np.ndarray] = {}
+        # token -> its bucket ids; entries never change once written, so
+        # concurrent readers need no lock
+        self._token_memo: dict[str, np.ndarray] = {}
+
+    def _token_ids(self, token: str) -> np.ndarray:
+        ids = self._token_memo.get(token)
+        if ids is not None:
+            return ids
+        padded = f"<{token}>"
+        grams = [padded]
+        for n in range(self.ngram_min, self.ngram_max + 1):
+            grams.extend(padded[i:i + n] for i in range(len(padded) - n + 1))
+        ids = np.array(
+            [fnv1a64(gram.encode("utf-8")) % self.bucket_count for gram in grams],
+            dtype=np.int64,
+        )
+        ids.flags.writeable = False
+        if len(self._token_memo) < TOKEN_MEMO_CAP:
+            self._token_memo[token] = ids
+        return ids
 
     def features(self, text: str) -> np.ndarray:
-        """Bucket ids of the feature bag of ``text`` (cached per string)."""
-        cached = self._feature_cache.get(text)
-        if cached is not None:
-            return cached
-        ids: list[int] = []
-        for token in tokenize(text):
-            padded = f"<{token}>"
-            ids.append(fnv1a64(padded.encode("utf-8")) % self.bucket_count)
-            for n in range(self.ngram_min, self.ngram_max + 1):
-                for i in range(len(padded) - n + 1):
-                    gram = padded[i:i + n]
-                    ids.append(fnv1a64(gram.encode("utf-8")) % self.bucket_count)
-        arr = np.asarray(ids, dtype=np.int64)
-        self._feature_cache[text] = arr
-        return arr
+        """Bucket ids of the feature bag of ``text``: the concatenation of
+        the bucket ids of its tokens, which are memoised per token."""
+        parts = [self._token_ids(token) for token in tokenize(text)]
+        if not parts:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate(parts)
 
     def embed(self, text: str) -> np.ndarray:
         ids = self.features(text)

@@ -16,9 +16,12 @@ implementation is Vigna's ``splitmix64.c``):
 
 all in 64-bit wrapping arithmetic.  Bounded draws use rejection sampling on
 the top of the 64-bit range, so ``randrange(n)`` is exactly uniform.
+``uniform_array`` computes a stream of ``uniform`` draws at once in numpy.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -68,6 +71,30 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def uniform_array(seed: int, count: int, lo: float, hi: float) -> np.ndarray:
+    """The first ``count`` draws of ``SplitMix64(seed).uniform(lo, hi)``.
+
+    The k-th state is ``seed + k * GAMMA`` modulo 2^64, so the whole stream
+    is computed in numpy ``uint64``, whose multiplies wrap as the masked
+    scalar ones do.  The float operations are those of ``uniform``, in the
+    same order, so every element equals its scalar draw bit for bit.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0 ** -53
+    out *= hi - lo
+    out += lo
+    return out
 
 
 def fnv1a64(data: bytes) -> int:

@@ -9,7 +9,10 @@ Endpoints:
 
 Hit arrays are built from the exact JSON lines the CLI ``query`` command
 prints, so the two surfaces answer byte-identically.  All state is loaded
-once and never mutated, which makes concurrent requests safe.
+once and never mutated, apart from the encoder's bounded per-token memo,
+whose entries never change once written; concurrent requests are safe.
+A ``/match`` body longer than ``MAX_BODY_BYTES`` is refused with 413
+without being read.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .errors import OntoSearchError
 from .ranker import hit_json_line
 
 logger = logging.getLogger(__name__)
+
+MAX_BODY_BYTES = 1 << 20
 
 
 class SearchService:
@@ -114,6 +119,24 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return k
 
+    def _body_length(self) -> int | None:
+        """The declared body length, or None after answering 400 or 413.
+
+        Either refusal leaves the body unread.  The server speaks HTTP/1.0,
+        so the connection closes after every response and takes an unread
+        body with it."""
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_error(400, "app.UsageError",
+                             f"Content-Length must be a non-negative integer, got {raw!r}")
+            return None
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._send_error(413, "app.PayloadTooLarge",
+                             f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            return None
+        return length
+
     def do_GET(self):  # noqa: N802  (http.server naming)
         url = urlsplit(self.path)
         if url.path == "/healthz":
@@ -151,7 +174,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if not self._guard_ready():
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        length = self._body_length()
+        if length is None:
+            return
         try:
             body = json.loads(self.rfile.read(length).decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -24,6 +24,10 @@ from .triplets import TripletDataset
 # Below this distance the direction (Va-Vx)/|Va-Vx| is numerically
 # meaningless; the subgradient contribution is defined as zero.
 _DISTANCE_EPS = 1e-12
+# Rows per block of the Adam update: the operands of one block (gradient,
+# both moments, table rows, two scratch buffers; 128 KiB each at dim 64)
+# stay in cache across the update's dozen elementwise passes.
+_ADAM_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -122,6 +126,52 @@ def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset, margin: float
     return total / len(dataset.entries)
 
 
+class _Adam:
+    """Dense Adam over the whole table, run one block of rows at a time
+    into scratch buffers allocated once.
+
+    Per element it performs the operations of the textbook update in the
+    same order -- ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``, then
+    ``table -= (lr * m_hat) / (sqrt(v_hat) + eps)`` -- so the result is bit
+    for bit that of the whole-array expressions.
+    """
+
+    def __init__(self, shape: tuple[int, int], cfg: TrainConfig):
+        self.cfg = cfg
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        rows = min(shape[0], _ADAM_BLOCK_ROWS)
+        self._a = np.empty((rows, shape[1]))
+        self._b = np.empty((rows, shape[1]))
+
+    def step(self, table: np.ndarray, grad: np.ndarray, batch: int,
+             step: int, lr: float) -> None:
+        """Apply the mean gradient ``grad / batch``, then zero ``grad`` for
+        the next batch."""
+        b1, b2 = self.cfg.adam_beta1, self.cfg.adam_beta2
+        c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for lo in range(0, table.shape[0], _ADAM_BLOCK_ROWS):
+            rows = slice(lo, lo + _ADAM_BLOCK_ROWS)
+            g, m, v = grad[rows], self.m[rows], self.v[rows]
+            a, b = self._a[:len(g)], self._b[:len(g)]
+            g /= batch
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.square(g, out=a)
+            a *= 1.0 - b2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.cfg.adam_eps
+            a /= b
+            table[rows] -= a
+            g.fill(0.0)
+
+
 def train(
     model: SubwordEmbedder,
     train_set: TripletDataset,
@@ -149,12 +199,11 @@ def train(
     total_steps = cfg.epochs * n_batches
     warmup_steps = math.floor(cfg.warmup_fraction * total_steps)
 
-    m = np.zeros_like(model.table)
-    v = np.zeros_like(model.table)
+    adam = _Adam(model.table.shape, cfg)
     grad = np.zeros_like(model.table)
     step = 0
 
-    # Feature bags never change during training; warm the cache once.
+    # Feature bags never change during training; compute each text's once.
     bags: dict[str, np.ndarray] = {}
     for entry in train_set.entries:
         for text in (entry.anchor, entry.positive, entry.negative):
@@ -167,7 +216,6 @@ def train(
         epoch_loss = 0.0
         for b in range(n_batches):
             batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            grad.fill(0.0)
             for idx in batch:
                 entry = train_set.entries[idx]
                 fa = bags[entry.anchor]
@@ -181,19 +229,12 @@ def train(
                 for ids, dv in ((fa, d_va), (fp, d_vp), (fn, d_vn)):
                     if ids.size:
                         np.add.at(grad, ids, dv / ids.size)
-            grad /= len(batch)
 
             step += 1
             lr = cfg.learning_rate
             if warmup_steps > 0 and step <= warmup_steps:
                 lr *= step / warmup_steps
-            m *= cfg.adam_beta1
-            m += (1.0 - cfg.adam_beta1) * grad
-            v *= cfg.adam_beta2
-            v += (1.0 - cfg.adam_beta2) * np.square(grad)
-            m_hat = m / (1.0 - cfg.adam_beta1 ** step)
-            v_hat = v / (1.0 - cfg.adam_beta2 ** step)
-            model.table -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            adam.step(model.table, grad, len(batch), step, lr)
 
         dev_loss = None
         if dev_set is not None and dev_set.entries:

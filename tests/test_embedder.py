@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ontosearch import embedder
 from ontosearch.embedder import (
     PrecomputedEncoder,
     StaticWordVectors,
@@ -20,6 +23,7 @@ from ontosearch.errors import (
     MalformedLine,
     MissingEmbedding,
 )
+from ontosearch.rng import fnv1a64
 
 
 class TestTokenize:
@@ -109,6 +113,51 @@ class TestSubwordEmbedder:
             SubwordEmbedder(bucket_count=0)
         with pytest.raises(ValueError):
             SubwordEmbedder(ngram_min=4, ngram_max=3)
+
+
+def per_gram_features(text, bucket_count, ngram_min, ngram_max):
+    """The reference definition: one FNV-1a hash per gram, in bag order."""
+    ids = []
+    for token in tokenize(text):
+        padded = f"<{token}>"
+        ids.append(fnv1a64(padded.encode("utf-8")) % bucket_count)
+        for n in range(ngram_min, ngram_max + 1):
+            for i in range(len(padded) - n + 1):
+                ids.append(fnv1a64(padded[i:i + n].encode("utf-8")) % bucket_count)
+    return ids
+
+
+class TestFeatures:
+    @given(
+        st.text(max_size=60),
+        st.integers(min_value=1, max_value=1 << 16),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_equal_to_per_gram_loop(self, text, bucket_count, ngram_min, extra):
+        ngram_max = ngram_min + extra
+        enc = SubwordEmbedder(bucket_count=bucket_count, dim=1,
+                              ngram_min=ngram_min, ngram_max=ngram_max)
+        expected = per_gram_features(text, bucket_count, ngram_min, ngram_max)
+        for _ in range(2):  # the second call reads the token memo
+            ids = enc.features(text)
+            assert ids.dtype == np.int64 and ids.shape == (len(expected),)
+            assert ids.tolist() == expected
+
+    @given(st.lists(st.text(max_size=30), max_size=6))
+    def test_equal_past_the_memo_cap(self, texts):
+        with mock.patch.object(embedder, "TOKEN_MEMO_CAP", 3):
+            enc = SubwordEmbedder(bucket_count=97, dim=1)
+            enc.features("alpha beta gamma delta epsilon")
+            for text in texts:
+                assert enc.features(text).tolist() == per_gram_features(text, 97, 3, 5)
+            assert len(enc._token_memo) == 3
+
+    def test_returned_bag_is_a_private_copy(self):
+        enc = SubwordEmbedder(bucket_count=64, dim=4, seed=0)
+        ids = enc.features("cat")
+        ids[:] = 0
+        assert enc.features("cat").tolist() == per_gram_features("cat", 64, 3, 5)
 
 
 class TestStaticWordVectors:

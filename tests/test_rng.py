@@ -3,11 +3,12 @@ were frozen from an independent C implementation of the same definitions."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ontosearch.rng import SplitMix64, fnv1a64
+from ontosearch.rng import SplitMix64, fnv1a64, uniform_array
 
 # Reference outputs of splitmix64 for a handful of seeds.
 REFERENCE_STREAMS = {
@@ -105,3 +106,17 @@ def test_random_unit_interval():
     values = [rng.random() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in values)
     assert 0.4 < math.fsum(values) / len(values) < 0.6
+
+
+@given(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=0, max_value=64),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+def test_uniform_array_equals_scalar_draws(seed, count, lo, hi):
+    rng = SplitMix64(seed)
+    expected = np.array([rng.uniform(lo, hi) for _ in range(count)], dtype=np.float64)
+    got = uniform_array(seed, count, lo, hi)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tobytes() == expected.tobytes()

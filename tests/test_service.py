@@ -1,3 +1,4 @@
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -8,7 +9,12 @@ import pytest
 from ontosearch import store
 from ontosearch.cli import main
 from ontosearch.ranker import hit_json_line
-from ontosearch.service import SearchService, make_server, start_in_thread
+from ontosearch.service import (
+    MAX_BODY_BYTES,
+    SearchService,
+    make_server,
+    start_in_thread,
+)
 
 FIG = Path(__file__).parent / "data" / "asthenia"
 
@@ -206,6 +212,53 @@ class TestMatch:
         status, answer = post(f"{base}/match", {"labels": ["Asthenia"], "ranker": "hybrid"})
         assert status == 400
         assert json.loads(answer)["error"] == "app.UsageError"
+
+
+def post_raw(base, content_length: str, body: bytes = b""):
+    """POST /match with a hand-written Content-Length header."""
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.putrequest("POST", "/match", skip_accept_encoding=True)
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body or None)
+        resp = conn.getresponse()
+        return resp.status, resp.will_close, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5", "", "0x10", "1_0", "\xb2"])
+    def test_not_a_non_negative_integer_is_400(self, served, value):
+        base, _ = served
+        status, closes, answer = post_raw(base, value)
+        assert status == 400
+        assert closes
+        assert answer["error"] == "app.UsageError"
+
+    @pytest.mark.parametrize("value", [MAX_BODY_BYTES + 1, 10**30])
+    def test_above_the_cap_is_413_unread(self, served, value):
+        base, _ = served
+        # no body follows: the server answers from the header alone
+        status, closes, answer = post_raw(base, str(value))
+        assert status == 413
+        assert closes
+        assert answer["error"] == "app.PayloadTooLarge"
+
+    def test_valid_length_still_served(self, served):
+        base, _ = served
+        body = json.dumps({"labels": ["Asthenia"], "k": 2}).encode("utf-8")
+        status, _, answer = post_raw(base, f" {len(body)} ", body)
+        assert status == 200
+        assert [hit["rank"] for hit in answer] == [1, 2]
+
+    def test_server_survives_bad_lengths(self, served):
+        base, _ = served
+        for value in ("abc", "-1", str(MAX_BODY_BYTES + 1)):
+            post_raw(base, value)
+        status, _ = get(f"{base}/healthz")
+        assert status == 200
 
 
 def test_unknown_route_404(served):
