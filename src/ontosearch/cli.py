@@ -313,16 +313,18 @@ def _cmd_eval(args) -> int:
     report = evaluation.evaluate_run(
         queries, handle, bundle.graph, k_list=k_list, stopwords=stopwords
     )
+    stat_k = 10 if 10 in k_list else max(k_list)
     for baseline_path in args.baseline_runs or ():
         with open(baseline_path, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        stat_k = 10 if 10 in k_list else max(k_list)
-        report.significance.append(
-            evaluation.significance_against(
-                report, baseline, Path(baseline_path).name,
-                stat=args.stat, k=stat_k,
-            )
-        )
+            try:
+                significance = evaluation.significance_against(
+                    report, json.load(fh), Path(baseline_path).name,
+                    stat=args.stat, k=stat_k,
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise UsageError(f"bad --baseline-run {baseline_path!r}: "
+                                 f"not an eval report ({type(exc).__name__}: {exc})") from None
+        report.significance.append(significance)
     payload = report.to_json()
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -336,8 +338,8 @@ def _cmd_serve(args) -> int:
     from .service import serve
 
     host, _, port = args.bind.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"--bind must be host:port, got {args.bind!r}")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise UsageError(f"--bind must be host:port with a port of 0-65535, got {args.bind!r}")
     serve(args.index, host, int(port))
     return 0
 
@@ -371,9 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": exc.code, "message": exc.message}),
               file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "io.FileNotFound", "message": str(exc)}),
-              file=sys.stderr)
+    except OSError as exc:
+        code = "io.FileNotFound" if isinstance(exc, FileNotFoundError) else "io.Error"
+        print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

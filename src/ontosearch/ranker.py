@@ -157,38 +157,32 @@ class VectorIndex:
         return scores[winners], winners
 
 
+def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str]]:
+    """The vector index's row metadata: one (concept id, label) row per
+    label, in sorted-concept, label-sequence order."""
+    concept_ids: list[str] = []
+    labels: list[str] = []
+    for cid in graph.sorted_ids():
+        for label in graph.concepts[cid].labels:
+            concept_ids.append(cid)
+            labels.append(label)
+    return concept_ids, labels
+
+
 def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
-    """One row per (concept, label) in sorted-concept, label-sequence order.
+    """One row per (concept, label) in ``_label_rows`` order.
 
     Rows are normalised to unit length; an all-zero embedding is kept as the
     zero row (it cosine-scores 0 against everything).
     """
-    concept_ids: list[str] = []
-    labels: list[str] = []
-    vectors: list[np.ndarray] = []
-    for cid in graph.sorted_ids():
-        for label in graph.concepts[cid].labels:
-            vec = np.asarray(encoder.embed(label), dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            if norm >= _ZERO_NORM_EPS:
-                vec = vec / norm
-            else:
-                vec = np.zeros(encoder.dim, dtype=np.float64)
-            concept_ids.append(cid)
-            labels.append(label)
-            vectors.append(vec)
-    rows = (
-        np.stack(vectors)
-        if vectors
-        else np.zeros((0, encoder.dim), dtype=np.float64)
-    )
-    return VectorIndex(
-        dim=encoder.dim,
-        rows=rows,
-        concept_ids=concept_ids,
-        labels=labels,
-        encoder_fingerprint=encoder.fingerprint(),
-    )
+    concept_ids, labels = _label_rows(graph)
+    rows = np.zeros((len(labels), encoder.dim), dtype=np.float64)
+    for row, label in zip(rows, labels):
+        vec = np.asarray(encoder.embed(label), dtype=np.float64)
+        norm = float(np.linalg.norm(vec))
+        if norm >= _ZERO_NORM_EPS:
+            row[:] = vec / norm
+    return VectorIndex(encoder.dim, rows, concept_ids, labels, encoder.fingerprint())
 
 
 def search_text(
@@ -232,7 +226,9 @@ def load_stopwords(path: str | Path | None) -> frozenset[str]:
 
 
 class Bm25Index:
-    """Okapi BM25 over per-concept documents.
+    """Okapi BM25 over one document per concept of ``graph``, in ascending
+    id order (the order score ties are broken in); ``term_freqs`` holds
+    each document's token counts.
 
     IDF(t) = ln(1 + (N - df + 0.5) / (df + 0.5)); a term's contribution is
     IDF(t) * tf*(k1+1) / (tf + k1*(1 - b + b*|D|/avgdl)).
@@ -240,24 +236,20 @@ class Bm25Index:
 
     def __init__(
         self,
-        concept_ids: list[str],
+        graph: OntologyGraph,
         term_freqs: list[dict[str, int]],
-        preferred_labels: list[str],
         stopwords: frozenset[str],
         k1: float = 1.2,
         b: float = 0.75,
     ):
-        self.concept_ids = list(concept_ids)
-        # ties are broken by document position, which must be id order
-        if any(a >= b for a, b in zip(self.concept_ids, self.concept_ids[1:])):
-            raise MalformedLine("BM25 documents must have strictly ascending concept ids")
+        self.concept_ids = graph.sorted_ids()
         self.term_freqs = term_freqs
-        self.preferred_labels = list(preferred_labels)
+        self.preferred_labels = [graph.concepts[cid].preferred_label for cid in self.concept_ids]
         self.stopwords = stopwords
         self.k1 = k1
         self.b = b
         self.doc_lens = [sum(tf.values()) for tf in term_freqs]
-        self.n_docs = len(concept_ids)
+        self.n_docs = len(self.concept_ids)
         self.avgdl = (
             sum(self.doc_lens) / self.n_docs if self.n_docs else 0.0
         )
@@ -323,18 +315,12 @@ def build_bm25_index(
     """Index every concept as the stop-word-filtered token bag of all its
     labels concatenated."""
     stopwords = load_stopwords(stopwords_path)
-    concept_ids = graph.sorted_ids()
-    term_freqs: list[dict[str, int]] = []
-    preferred: list[str] = []
-    for cid in concept_ids:
-        concept = graph.concepts[cid]
-        tokens = [
-            t for label in concept.labels for t in tokenize(label)
-            if t not in stopwords
-        ]
-        term_freqs.append(dict(Counter(tokens)))
-        preferred.append(concept.preferred_label)
-    return Bm25Index(concept_ids, term_freqs, preferred, stopwords, k1=k1, b=b)
+    term_freqs = [
+        dict(Counter(t for label in graph.concepts[cid].labels for t in tokenize(label)
+                     if t not in stopwords))
+        for cid in graph.sorted_ids()
+    ]
+    return Bm25Index(graph, term_freqs, stopwords, k1=k1, b=b)
 
 
 def bm25_score(index: Bm25Index, query_tokens: list[str], concept_id: str) -> float:
@@ -393,8 +379,8 @@ def bm25_search_concept(index: Bm25Index, query_labels: list[str], k: int) -> li
 
 # --- persistence ---------------------------------------------------------------
 
-_VECTOR_VERSION = 1
-_BM25_VERSION = 1
+_VECTOR_VERSION = 2
+_BM25_VERSION = 2
 
 
 def save_vector_index(index: VectorIndex, path: str | Path) -> None:
@@ -403,24 +389,23 @@ def save_vector_index(index: VectorIndex, path: str | Path) -> None:
         version=_VECTOR_VERSION,
         dim=index.dim,
         rows=index.rows,
-        concept_ids=np.asarray(index.concept_ids, dtype=np.str_),
-        labels=np.asarray(index.labels, dtype=np.str_),
         fingerprint=index.encoder_fingerprint,
     )
 
 
-def load_vector_index(path: str | Path) -> VectorIndex:
+def load_vector_index(path: str | Path, graph: OntologyGraph) -> VectorIndex:
     with np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _VECTOR_VERSION:
             raise MalformedLine(f"{path}: unsupported vector index version {version}")
-        return VectorIndex(
-            dim=int(data["dim"]),
-            rows=data["rows"].copy(),
-            concept_ids=[str(c) for c in data["concept_ids"]],
-            labels=[str(lb) for lb in data["labels"]],
-            encoder_fingerprint=str(data["fingerprint"]),
-        )
+        dim = int(data["dim"])
+        rows = data["rows"]
+        fingerprint = str(data["fingerprint"])
+    concept_ids, labels = _label_rows(graph)
+    if rows.shape != (len(labels), dim):
+        raise MalformedLine(f"{path}: rows of shape {rows.shape}, expected "
+                            f"({len(labels)}, {dim}): one per ontology label")
+    return VectorIndex(dim, rows, concept_ids, labels, fingerprint)
 
 
 def save_bm25_index(index: Bm25Index, path: str | Path) -> None:
@@ -428,31 +413,29 @@ def save_bm25_index(index: Bm25Index, path: str | Path) -> None:
         "version": _BM25_VERSION,
         "k1": index.k1,
         "b": index.b,
-        "concept_ids": index.concept_ids,
         "term_freqs": index.term_freqs,
-        "preferred_labels": index.preferred_labels,
         "df": {t: index.df[t] for t in sorted(index.df)},
         "avgdl": index.avgdl,
         "stopwords": sorted(index.stopwords),
-        "stopword_hash": hashlib.sha256(
-            "\n".join(sorted(index.stopwords)).encode("utf-8")
-        ).hexdigest(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False)
         fh.write("\n")
 
 
-def load_bm25_index(path: str | Path) -> Bm25Index:
+def load_bm25_index(path: str | Path, graph: OntologyGraph) -> Bm25Index:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     version = int(payload["version"])
     if version != _BM25_VERSION:
         raise MalformedLine(f"{path}: unsupported BM25 index version {version}")
+    term_freqs = payload["term_freqs"]
+    if len(term_freqs) != len(graph):
+        raise MalformedLine(f"{path}: {len(term_freqs)} documents, but the ontology "
+                            f"has {len(graph)} concepts")
     index = Bm25Index(
-        concept_ids=payload["concept_ids"],
-        term_freqs=[dict(tf) for tf in payload["term_freqs"]],
-        preferred_labels=payload["preferred_labels"],
+        graph,
+        term_freqs=[dict(tf) for tf in term_freqs],
         stopwords=frozenset(payload["stopwords"]),
         k1=payload["k1"],
         b=payload["b"],

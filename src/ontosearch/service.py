@@ -12,7 +12,8 @@ prints, so the two surfaces answer byte-identically.  All state is loaded
 once and never mutated, apart from the encoder's bounded per-token memo,
 whose entries never change once written; concurrent requests are safe.
 A ``/match`` body longer than ``MAX_BODY_BYTES`` is refused with 413
-without being read.
+without being read; one that stalls for ``READ_TIMEOUT_S`` seconds gets
+408, so no handler thread waits on a client for ever.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .ranker import hit_json_line
 logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 1 << 20
+READ_TIMEOUT_S = 10.0
 
 
 class SearchService:
@@ -178,7 +180,13 @@ class _Handler(BaseHTTPRequestHandler):
         if length is None:
             return
         try:
-            body = json.loads(self.rfile.read(length).decode("utf-8") or "{}")
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self._send_error(408, "app.RequestTimeout",
+                             f"body of {length} bytes not received within {self.timeout} s")
+            return
+        try:
+            body = json.loads(raw.decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._send_error(400, "app.UsageError", f"bad JSON body: {exc}")
             return
@@ -203,8 +211,9 @@ class _Handler(BaseHTTPRequestHandler):
 def make_server(
     service: SearchService, host: str = "127.0.0.1", port: int = 0
 ) -> ThreadingHTTPServer:
-    """Bind a threading HTTP server around ``service`` (port 0 = ephemeral)."""
-    handler = type("BoundHandler", (_Handler,), {"service": service})
+    """Bind a threading HTTP server around ``service`` (port 0 = ephemeral);
+    its sockets time out after ``READ_TIMEOUT_S`` seconds."""
+    handler = type("BoundHandler", (_Handler,), {"service": service, "timeout": READ_TIMEOUT_S})
     return ThreadingHTTPServer((host, port), handler)
 
 

@@ -4,21 +4,30 @@ outputs byte-identical).
 
 A directory written by ``save_bundle`` holds:
 
-    meta.json        what the bundle contains, plus fingerprints
+    meta.json        {"version": 2}; marks the directory as a bundle
     concepts.tsv / labels.tsv / relations.tsv    the ontology, round-tripped
-    vector.npz + encoder.npz                     when a vector ranker was built
-    bm25.json                                    when a BM25 ranker was built
+    vector.npz       one unit row per (concept, label), plus the encoder
+                     fingerprint; when a vector ranker was built
+    encoder.npz      the encoder that embeds queries for ``vector.npz``
+    bm25.json        per-concept term frequencies, k1/b, stop-words and the
+                     df/avgdl corruption check; when a BM25 ranker was built
+
+The ontology TSVs alone record which index rows exist and in what order:
+both index files hold rows only and are read against the loaded graph.
+A file that cannot be decoded is reported as ``io.MalformedLine`` naming it.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 from .embedder import Encoder, load_encoder, save_encoder
-from .errors import UsageError
+from .errors import MalformedLine, UsageError
 from .ontology import OntologyGraph, load_ontology, save_ontology
 from .ranker import (
     Bm25Index,
@@ -34,7 +43,7 @@ from .ranker import (
     search_text,
 )
 
-_META_VERSION = 1
+_META_VERSION = 2
 
 
 @dataclass
@@ -73,14 +82,8 @@ def save_bundle(
         save_encoder(encoder, out / "encoder.npz")
     if bm25 is not None:
         save_bm25_index(bm25, out / "bm25.json")
-    meta = {
-        "version": _META_VERSION,
-        "vector_fingerprint": vector.encoder_fingerprint if vector else None,
-        "bm25_fingerprint": bm25.fingerprint() if bm25 else None,
-        "encoder_kind": encoder.kind if encoder else None,
-    }
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump({"version": _META_VERSION}, fh, indent=2)
         fh.write("\n")
 
 
@@ -93,16 +96,26 @@ def load_bundle(index_dir: str | Path) -> IndexBundle:
     )
     vector = encoder = bm25 = None
     if (root / "vector.npz").exists():
-        vector = load_vector_index(root / "vector.npz")
-        encoder = load_encoder(root / "encoder.npz")
+        vector = _read(load_vector_index, root / "vector.npz", graph)
+        encoder = _read(load_encoder, root / "encoder.npz")
         if vector.encoder_fingerprint != encoder.fingerprint():
             raise UsageError(
                 f"{root}: encoder.npz does not match the encoder the vector "
                 "index was built with (fingerprint mismatch)"
             )
     if (root / "bm25.json").exists():
-        bm25 = load_bm25_index(root / "bm25.json")
+        bm25 = _read(load_bm25_index, root / "bm25.json", graph)
     return IndexBundle(graph=graph, vector=vector, encoder=encoder, bm25=bm25)
+
+
+def _read(load: Callable, path: Path, *args):
+    """``load(path, *args)``, with a file that is not valid JSON or npz, or
+    lacks a key or array, reported as ``io.MalformedLine`` naming it."""
+    try:
+        return load(path, *args)
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise MalformedLine(f"{path}: corrupt bundle file ({type(exc).__name__}: {exc})",
+                            path=str(path)) from None
 
 
 def query_hits(

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ontosearch.cli import main
+from ontosearch.npzio import save_arrays
 
 FIG = Path(__file__).parent / "data" / "asthenia"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -373,6 +375,98 @@ class TestArgumentValidation:
                            "--queries", str(queries), "--k", ks)
         assert code == 2
         assert json.loads(err)["error"] == "app.UsageError"
+
+    def test_serve_port_out_of_range(self, capsys, built_index):
+        code, _, err = run(capsys, "serve", "--index", str(built_index),
+                           "--bind", "127.0.0.1:99999")
+        assert code == 2
+        assert json.loads(err)["error"] == "app.UsageError"
+
+    @pytest.mark.parametrize("content", ["not json {", '{"aggregates": {}}'],
+                             ids=["not-json", "no-per-query"])
+    def test_eval_bad_baseline_run(self, capsys, built_index, tmp_path, content):
+        queries = tmp_path / "q.tsv"
+        queries.write_text("q1\tLassitude\tasthenia\n", encoding="utf-8")
+        baseline = tmp_path / "base.json"
+        baseline.write_text(content, encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--index", str(built_index),
+                           "--queries", str(queries), "--baseline-run", str(baseline))
+        assert code == 2
+        assert json.loads(err)["error"] == "app.UsageError"
+        assert "base.json" in json.loads(err)["message"]
+
+    def test_config_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "ingest", *ontology_args(), "--config", str(tmp_path))
+        assert code == 1
+        assert json.loads(err)["error"] == "io.Error"
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _rewrite_json(**changes):
+    def rewrite(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for key, value in changes.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    return rewrite
+
+
+def _rewrite_npz(**changes):
+    def rewrite(path):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        for name, value in changes.items():
+            if value is None:
+                del arrays[name]
+            else:
+                arrays[name] = value
+        save_arrays(path, **arrays)
+    return rewrite
+
+
+def _add_label(path):
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("asthenia\tWeakness\n")
+
+
+def _drop_label(path):
+    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(True)[:-1]),
+                    encoding="utf-8")
+
+
+class TestCorruptBundle:
+    """A bundle file that cannot be read gives one coded line naming the
+    file it was caught in, never a traceback."""
+
+    @pytest.mark.parametrize("target, corrupt, named", [
+        ("bm25.json", _truncate, "bm25.json"),
+        ("bm25.json", _rewrite_json(term_freqs=None), "bm25.json"),
+        ("bm25.json", _rewrite_json(version=1), "bm25.json"),
+        ("vector.npz", lambda path: path.write_text("not a zip\n"), "vector.npz"),
+        ("vector.npz", _truncate, "vector.npz"),
+        ("vector.npz", _rewrite_npz(rows=None), "vector.npz"),
+        ("vector.npz", _rewrite_npz(version=1), "vector.npz"),
+        # the vector index's row count no longer matches the ontology's labels
+        ("labels.tsv", _add_label, "vector.npz"),
+        ("labels.tsv", _drop_label, "vector.npz"),
+    ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-version-1", "vector-not-a-zip",
+            "vector-truncated", "vector-no-rows", "vector-version-1", "label-added",
+            "label-dropped"])
+    def test_one_malformed_line(self, capsys, built_index, target, corrupt, named):
+        corrupt(built_index / target)
+        ranker = "bm25" if target == "bm25.json" else "vector"
+        code, out, err = run(capsys, "query", "--index", str(built_index),
+                             "--q", "Fatigue", "--ranker", ranker)
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "io.MalformedLine"
+        assert named in json.loads(err)["message"]
 
 
 def declared_script(name):

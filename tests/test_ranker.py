@@ -6,6 +6,7 @@ import pytest
 from ontosearch.embedder import PrecomputedEncoder, SubwordEmbedder
 from ontosearch.errors import (
     EmptyQueryConcept,
+    MalformedLine,
     MalformedStopwordFile,
     UnknownConceptId,
 )
@@ -328,14 +329,25 @@ class TestBm25:
 
 class TestPersistence:
     def test_vector_round_trip_bitwise(self, toy_vector_setup, tmp_path):
-        _, _, index = toy_vector_setup
+        graph, _, index = toy_vector_setup
         path = tmp_path / "vec.npz"
         save_vector_index(index, path)
-        back = load_vector_index(path)
+        back = load_vector_index(path, graph)
         np.testing.assert_array_equal(back.rows, index.rows)
-        assert back.concept_ids == index.concept_ids
-        assert back.labels == index.labels
+        # the graph's labels, sorted by concept id
+        assert back.concept_ids == ["c1", "c1", "c2", "c3"]
+        assert back.labels == ["l1a", "l1b", "l2a", "l3a"]
         assert back.encoder_fingerprint == index.encoder_fingerprint
+
+    def test_vector_rows_must_match_the_graph(self, toy_vector_setup, tmp_path):
+        graph, _, index = toy_vector_setup
+        path = tmp_path / "vec.npz"
+        save_vector_index(index, path)
+        # one label fewer and one more: 3 and 5 rows expected, 4 stored
+        for labels in (["l1a"], ["l1a", "l1b", "l1c"]):
+            changed = graph_of(("c1", labels, []), ("c2", ["l2a"], []), ("c3", ["l3a"], []))
+            with pytest.raises(MalformedLine, match=r"rows of shape \(4, 2\)"):
+                load_vector_index(path, changed)
 
     def test_vector_save_is_byte_reproducible(self, toy_vector_setup, tmp_path):
         _, _, index = toy_vector_setup
@@ -344,10 +356,12 @@ class TestPersistence:
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_bm25_round_trip(self, bm25_fixture, tmp_path):
-        _, index = bm25_fixture
+        graph, index = bm25_fixture
         path = tmp_path / "bm25.json"
         save_bm25_index(index, path)
-        back = load_bm25_index(path)
+        back = load_bm25_index(path, graph)
+        assert back.concept_ids == ["c1", "c2", "c3"]
+        assert back.labels == ["headache", "vomiting", "injury of muscle tissue"]
         assert back.term_freqs == index.term_freqs
         assert back.df == index.df
         assert back.avgdl == index.avgdl
@@ -356,6 +370,15 @@ class TestPersistence:
         assert bm25_score(back, ["headache"], "c1") == bm25_score(
             index, ["headache"], "c1"
         )
+
+    def test_bm25_documents_must_match_the_graph(self, bm25_fixture, tmp_path):
+        graph, index = bm25_fixture
+        path = tmp_path / "bm25.json"
+        save_bm25_index(index, path)
+        grown = graph_of(*((c.id, c.labels, c.parent_ids) for c in graph.concepts.values()),
+                         ("c4", ["extra"], []))
+        with pytest.raises(MalformedLine, match="3 documents"):
+            load_bm25_index(path, grown)
 
     def test_bm25_save_is_byte_reproducible(self, bm25_fixture, tmp_path):
         _, index = bm25_fixture

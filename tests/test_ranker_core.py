@@ -7,7 +7,6 @@
 """
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -29,8 +28,6 @@ from ontosearch.ranker import (
     bm25_search,
     bm25_search_concept,
     hit_json_line,
-    load_bm25_index,
-    save_bm25_index,
     search_concept,
     search_text,
 )
@@ -215,29 +212,6 @@ def test_every_entry_point_equals_the_reference(onto, texts, k):
 
 
 # --- row order checks --------------------------------------------------------------
-
-
-def _bm25_file(tmp_path, concept_ids):
-    graph = OntologyGraph([Concept(id=c, labels=(f"{c} pain",), parent_ids=frozenset())
-                           for c in sorted(concept_ids)])
-    path = tmp_path / "bm25.json"
-    save_bm25_index(build_bm25_index(graph), path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    order = [payload["concept_ids"].index(c) for c in concept_ids]
-    for key in ("concept_ids", "term_freqs", "preferred_labels"):
-        payload[key] = [payload[key][i] for i in order]
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return path
-
-
-@pytest.mark.parametrize("concept_ids", [["b", "a", "c"], ["a", "c", "b"]])
-def test_bm25_file_with_unsorted_ids_is_rejected(tmp_path, concept_ids):
-    with pytest.raises(MalformedLine, match="strictly ascending concept ids"):
-        load_bm25_index(_bm25_file(tmp_path, concept_ids))
-
-
-def test_bm25_file_with_sorted_ids_loads(tmp_path):
-    assert load_bm25_index(_bm25_file(tmp_path, ["a", "b", "c"])).concept_ids == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("concept_ids", [["a", "b", "a"], ["b", "b", "a"]])

@@ -1,12 +1,17 @@
 import http.client
 import json
+import socket
+import string
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import quote, urlencode
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ontosearch import store
+from ontosearch import service, store
 from ontosearch.cli import main
 from ontosearch.ranker import hit_json_line
 from ontosearch.service import (
@@ -265,3 +270,99 @@ def test_unknown_route_404(served):
     base, _ = served
     status, _ = get(f"{base}/nothing/here")
     assert status == 404
+
+
+def exchange(address, request: bytes) -> tuple[int, dict, bytes]:
+    """Send one raw request and read until the server closes the
+    connection: (status, headers, body); status 0 when nothing came back."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    if not head:
+        return 0, {}, b""
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return int(status_line.split()[1]), headers, body
+
+
+def test_stalled_body_is_408(served, monkeypatch):
+    _, bundle = served
+    monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)
+    server = make_server(SearchService(bundle))
+    start_in_thread(server)
+    try:
+        # 100 bytes declared, 12 sent, and the connection left open
+        status, _, body = exchange(server.socket.getsockname(),
+                                   b"POST /match HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+                                   b'{"labels": [')
+        assert status == 408
+        assert json.loads(body)["error"] == "app.RequestTimeout"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# --- every request is answered -------------------------------------------------------
+
+DOCUMENTED = {200, 400, 404, 408, 413, 503}
+
+
+@pytest.fixture(scope="module")
+def servers(served):
+    """{ready: address} for a loaded and a still-loading service whose
+    reads time out after 0.1 s."""
+    _, bundle = served
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(service, "READ_TIMEOUT_S", 0.1)
+        running = {ready: make_server(SearchService(bundle if ready else None))
+                   for ready in (True, False)}
+    for server in running.values():
+        start_in_thread(server)
+    yield {ready: server.socket.getsockname() for ready, server in running.items()}
+    for server in running.values():
+        server.shutdown()
+        server.server_close()
+
+
+values = st.one_of(st.sampled_from(["1", "3", "0", "-1", "vector", "bm25", "hybrid", "Fatigue"]),
+                   st.text(max_size=8))
+# mostly the routes served, by the method they serve; also an unknown
+# concept, an unknown path, and served paths by the other method
+routes = st.sampled_from([("POST", "/match")] * 4 + [("GET", "/search")] * 3 + [
+    ("GET", "/healthz"), ("GET", "/concept/asthenia"), ("GET", "/concept/" + quote("no such/é")),
+    ("POST", "/search"), ("GET", "/match"), ("GET", "/"), ("POST", "/healthz")])
+queries = st.fixed_dictionaries({}, optional={"q": values, "k": values, "ranker": values})
+match_bodies = st.fixed_dictionaries({}, optional={
+    "labels": st.one_of(st.lists(st.sampled_from(["Fatigue", "Asthenia"]) | st.text(max_size=10),
+                                 max_size=3), st.integers()),
+    "k": st.one_of(st.integers(-1, 20), st.booleans(), st.text(max_size=3)),
+    "ranker": st.sampled_from(["vector", "bm25", "hybrid"]),
+}).map(lambda body: json.dumps(body).encode("utf-8"))
+lengths = st.one_of(
+    st.none(), st.just("exact"), st.integers(0, 64).map(str),
+    st.sampled_from([str(MAX_BODY_BYTES), str(MAX_BODY_BYTES + 1), str(10**30)]),
+    st.text(alphabet=string.ascii_letters + string.digits + string.punctuation + " ", max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(ready=True, route=("POST", "/match"), query={}, body=b"{}", length=str(10**30))
+@example(ready=True, route=("POST", "/match"), query={}, body=b"{}", length="64")
+@given(ready=st.sampled_from([True, True, True, False]), route=routes, query=queries,
+       body=st.one_of(match_bodies, st.binary(max_size=48)), length=lengths)
+def test_every_request_gets_a_documented_json_answer(servers, ready, route, query, body, length):
+    method, path = route
+    target = f"{path}?{urlencode(query)}" if query else path
+    header = "" if length is None else (
+        f"Content-Length: {len(body) if length == 'exact' else length}\r\n")
+    request = f"{method} {target} HTTP/1.0\r\n{header}\r\n".encode("ascii") + body
+    status, headers, answer = exchange(servers[ready], request)
+    assert status in DOCUMENTED, (status, answer)
+    assert headers["Content-Type"] == "application/json; charset=utf-8"
+    assert int(headers["Content-Length"]) == len(answer)
+    payload = json.loads(answer)
+    if status >= 400 and not path.startswith("/healthz"):
+        assert set(payload) == {"error", "message"}
