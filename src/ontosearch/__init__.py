@@ -12,7 +12,6 @@ from .embedder import (
     StaticWordVectors,
     SubwordEmbedder,
     cosine_similarity,
-    embed_text,
     load_precomputed,
     load_word_vectors,
     tokenize,
@@ -74,7 +73,6 @@ __all__ = [
     "build_bm25_index",
     "build_vector_index",
     "cosine_similarity",
-    "embed_text",
     "evaluate_run",
     "gain_of_relation",
     "generate_triplets",

@@ -23,7 +23,7 @@ from .embedder import (
     load_word_vectors,
     save_encoder,
 )
-from .errors import OntoSearchError, UsageError
+from .errors import FileNotFound, IoError, OntoSearchError, UsageError
 from .ontology import load_ontology
 from .ranker import (
     DEFAULT_STOPWORDS,
@@ -365,18 +365,11 @@ def main(argv: list[str] | None = None) -> int:
         if config is not None:
             config.check_paths(args.command)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(json.dumps({"error": exc.code, "message": exc.message}),
-              file=sys.stderr)
-        return 2
-    except OntoSearchError as exc:
-        print(json.dumps({"error": exc.code, "message": exc.message}),
-              file=sys.stderr)
-        return 1
-    except OSError as exc:
-        code = "io.FileNotFound" if isinstance(exc, FileNotFoundError) else "io.Error"
-        print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
-        return 1
+    except (OntoSearchError, OSError) as exc:
+        if isinstance(exc, OSError):
+            exc = (FileNotFound if isinstance(exc, FileNotFoundError) else IoError)(str(exc))
+        print(json.dumps({"error": exc.code, "message": exc.message}), file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import UsageError
+from .npzio import read_lines
 
 _KNOWN_KEYS = {
     "paths.concepts": str,
@@ -103,26 +104,25 @@ class PipelineConfig:
     def load(cls, path: str | Path) -> "PipelineConfig":
         values: dict[str, object] = {}
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(
-                        f"{path}:{lineno}: expected 'section.key = value'"
-                    )
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if key not in _KNOWN_KEYS:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                try:
-                    values[key] = _KNOWN_KEYS[key](raw)
-                except ValueError:
-                    raise UsageError(
-                        f"{path}:{lineno}: bad value {raw!r} for {key!r}"
-                    ) from None
+        for lineno, line in read_lines(path):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(
+                    f"{path}:{lineno}: expected 'section.key = value'"
+                )
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            raw = raw.strip()
+            if key not in _KNOWN_KEYS:
+                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _KNOWN_KEYS[key](raw)
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{lineno}: bad value {raw!r} for {key!r}"
+                ) from None
         return cls(values)
 
     def save(self, path: str | Path) -> None:

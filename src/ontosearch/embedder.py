@@ -27,7 +27,7 @@ from .errors import (
     MalformedLine,
     MissingEmbedding,
 )
-from .npzio import save_arrays
+from .npzio import decoding, read_lines, save_arrays
 from .rng import fnv1a64, uniform_array
 
 logger = logging.getLogger(__name__)
@@ -208,26 +208,15 @@ class PrecomputedEncoder:
 Encoder = SubwordEmbedder | StaticWordVectors | PrecomputedEncoder
 
 
-def embed_text(encoder: Encoder, text: str) -> np.ndarray:
-    """Functional form of the shared encoder contract."""
-    return encoder.embed(text)
-
-
 # --- loading the two file-backed encoders -------------------------------------
 
 def _parse_vector(fields: list[str], path: Path, lineno: int) -> np.ndarray:
     try:
         vec = np.asarray([float(x) for x in fields], dtype=np.float64)
     except ValueError:
-        raise MalformedLine(
-            f"{path}:{lineno}: non-numeric vector component",
-            path=str(path), lineno=lineno,
-        ) from None
+        raise MalformedLine(f"{path}:{lineno}: non-numeric vector component") from None
     if not np.isfinite(vec).all():
-        raise MalformedLine(
-            f"{path}:{lineno}: non-finite vector component",
-            path=str(path), lineno=lineno,
-        )
+        raise MalformedLine(f"{path}:{lineno}: non-finite vector component")
     return vec
 
 
@@ -239,36 +228,32 @@ def load_word_vectors(path: str | Path) -> StaticWordVectors:
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split()
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2:
-                try:
-                    int(fields[0]), int(fields[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            if len(fields) < 2:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected 'token v1 .. vd'",
-                    path=str(path), lineno=lineno,
-                )
-            token, *rest = fields
-            vec = _parse_vector(rest, path, lineno)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise InconsistentDimension(
-                    f"{path}:{lineno}: dimension {vec.size} != {dim}"
-                )
-            if token in vectors:
-                duplicates += 1
-                logger.warning("duplicate token %r at %s:%d, last wins", token, path, lineno)
-            vectors[token] = vec
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if not fields:
+            continue
+        if lineno == 1 and len(fields) == 2:
+            try:
+                int(fields[0]), int(fields[1])
+                continue  # header line
+            except ValueError:
+                pass
+        if len(fields) < 2:
+            raise MalformedLine(f"{path}:{lineno}: expected 'token v1 .. vd'")
+        token, *rest = fields
+        vec = _parse_vector(rest, path, lineno)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise InconsistentDimension(
+                f"{path}:{lineno}: dimension {vec.size} != {dim}"
+            )
+        if token in vectors:
+            duplicates += 1
+            logger.warning("duplicate token %r at %s:%d, last wins", token, path, lineno)
+        vectors[token] = vec
     if dim is None:
-        raise MalformedLine(f"{path}: no vector rows", path=str(path), lineno=0)
+        raise MalformedLine(f"{path}: no vector rows")
     return StaticWordVectors(vectors, dim, duplicates)
 
 
@@ -277,28 +262,23 @@ def load_precomputed(path: str | Path) -> PrecomputedEncoder:
     path = Path(path)
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected 'text<TAB>v1 v2 .. vd'",
-                    path=str(path), lineno=lineno,
-                )
-            text, blob = parts
-            vec = _parse_vector(blob.split(), path, lineno)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise InconsistentDimension(
-                    f"{path}:{lineno}: dimension {vec.size} != {dim}"
-                )
-            table[text] = vec
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedLine(f"{path}:{lineno}: expected 'text<TAB>v1 v2 .. vd'")
+        text, blob = parts
+        vec = _parse_vector(blob.split(), path, lineno)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise InconsistentDimension(
+                f"{path}:{lineno}: dimension {vec.size} != {dim}"
+            )
+        table[text] = vec
     if dim is None:
-        raise MalformedLine(f"{path}: no embedding rows", path=str(path), lineno=0)
+        raise MalformedLine(f"{path}: no embedding rows")
     return PrecomputedEncoder(table, dim)
 
 
@@ -344,7 +324,7 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
 
 
 def load_encoder(path: str | Path) -> Encoder:
-    with np.load(path, allow_pickle=False) as data:
+    with decoding(path, "encoder file"), np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _CONTAINER_VERSION:
             raise MalformedLine(f"{path}: unsupported container version {version}")

@@ -52,15 +52,23 @@ class EmptyLabel(OntologyError):
     code = "ontology.EmptyLabel"
 
 
+# --- io ---------------------------------------------------------------------
+
+class IoError(OntoSearchError):
+    """A file that could not be opened, read or written."""
+
+    code = "io.Error"
+
+
+class FileNotFound(IoError):
+    code = "io.FileNotFound"
+
+
 class MalformedLine(OntoSearchError):
-    """A data file line that does not match its documented format."""
+    """An input file, or a line of one, that does not match its documented
+    format; the message names the file (and the line, where there is one)."""
 
     code = "io.MalformedLine"
-
-    def __init__(self, message: str, path: str = "", lineno: int = 0):
-        super().__init__(message)
-        self.path = path
-        self.lineno = lineno
 
 
 # --- embedder ---------------------------------------------------------------
@@ -125,3 +133,19 @@ class TooFewPairs(EvalError):
 
 class UsageError(OntoSearchError):
     code = "app.UsageError"
+
+
+class NotFound(OntoSearchError):
+    code = "app.NotFound"
+
+
+class Loading(OntoSearchError):
+    code = "app.Loading"
+
+
+class PayloadTooLarge(OntoSearchError):
+    code = "app.PayloadTooLarge"
+
+
+class RequestTimeout(OntoSearchError):
+    code = "app.RequestTimeout"

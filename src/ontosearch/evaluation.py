@@ -23,6 +23,7 @@ from .errors import (
     MalformedLine,
     TooFewPairs,
 )
+from .npzio import read_lines
 from .ontology import Concept, OntologyGraph, gain_of_relation, relation_between
 from .ranker import DEFAULT_STOPWORDS, RankedHit
 
@@ -430,27 +431,23 @@ def read_queries(path: str | Path, mode: str = "text") -> list[EvalQuery]:
         raise ValueError(f"unknown query mode {mode!r}")
     path = Path(path)
     queries: list[EvalQuery] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected 3 tab-separated fields",
-                    path=str(path),
-                    lineno=lineno,
-                )
-            qid, body, relevant = parts
-            relevant_ids = frozenset(x for x in relevant.split(",") if x)
-            if mode == "text":
-                queries.append(
-                    EvalQuery(query_id=qid, relevant_ids=relevant_ids, query_text=body)
-                )
-            else:
-                labels = tuple(x for x in body.split("|") if x)
-                queries.append(
-                    EvalQuery(query_id=qid, relevant_ids=relevant_ids, query_labels=labels)
-                )
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise MalformedLine(f"{path}:{lineno}: expected 3 tab-separated fields")
+        qid, body, relevant = parts
+        relevant_ids = frozenset(x for x in relevant.split(",") if x)
+        if not relevant_ids:
+            raise MalformedLine(f"{path}:{lineno}: no relevant concept id")
+        if mode == "text":
+            queries.append(
+                EvalQuery(query_id=qid, relevant_ids=relevant_ids, query_text=body)
+            )
+        else:
+            labels = tuple(x for x in body.split("|") if x)
+            queries.append(
+                EvalQuery(query_id=qid, relevant_ids=relevant_ids, query_labels=labels)
+            )
     return queries

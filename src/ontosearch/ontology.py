@@ -28,6 +28,7 @@ from .errors import (
     UnknownConceptId,
     UnknownParentId,
 )
+from .npzio import read_lines
 
 
 class RelationKind(enum.Enum):
@@ -159,10 +160,6 @@ class OntologyGraph:
     def parents_of(self, concept_id: str) -> frozenset[str]:
         return self.get(concept_id).parent_ids
 
-    def children_of(self, concept_id: str) -> set[str]:
-        self.get(concept_id)
-        return set(self.children[concept_id])
-
     def sorted_ids(self) -> list[str]:
         return sorted(self.concepts)
 
@@ -220,20 +217,16 @@ def relation_between(
 
 def _read_rows(path: str | Path, columns: int):
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != columns:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected {columns} tab-separated fields, "
-                    f"got {len(parts)}",
-                    path=str(path),
-                    lineno=lineno,
-                )
-            yield lineno, parts
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != columns:
+            raise MalformedLine(
+                f"{path}:{lineno}: expected {columns} tab-separated fields, "
+                f"got {len(parts)}"
+            )
+        yield lineno, parts
 
 
 def load_ontology(
@@ -254,11 +247,7 @@ def load_ontology(
     for lineno, (cid, preferred) in _read_rows(concepts_path, 2):
         preferred = preferred.strip()
         if not cid:
-            raise MalformedLine(
-                f"{concepts_path}:{lineno}: empty concept id",
-                path=str(concepts_path),
-                lineno=lineno,
-            )
+            raise MalformedLine(f"{concepts_path}:{lineno}: empty concept id")
         if not preferred:
             raise EmptyLabel(f"{concepts_path}:{lineno}: empty preferred label")
         if cid in labels:

@@ -33,7 +33,7 @@ from .errors import (
     MalformedStopwordFile,
     UnknownConceptId,
 )
-from .npzio import save_arrays
+from .npzio import decoding, read_lines, save_arrays
 from .ontology import OntologyGraph
 
 _ZERO_NORM_EPS = 1e-12
@@ -212,16 +212,15 @@ def load_stopwords(path: str | Path | None) -> frozenset[str]:
     if path is None:
         return DEFAULT_STOPWORDS
     words: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word:
-                continue
-            if any(ch.isspace() for ch in word):
-                raise MalformedStopwordFile(
-                    f"{path}:{lineno}: expected one token per line"
-                )
-            words.add(word.lower())
+    for lineno, line in read_lines(path):
+        word = line.strip()
+        if not word:
+            continue
+        if any(ch.isspace() for ch in word):
+            raise MalformedStopwordFile(
+                f"{path}:{lineno}: expected one token per line"
+            )
+        words.add(word.lower())
     return frozenset(words)
 
 
@@ -394,18 +393,19 @@ def save_vector_index(index: VectorIndex, path: str | Path) -> None:
 
 
 def load_vector_index(path: str | Path, graph: OntologyGraph) -> VectorIndex:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != _VECTOR_VERSION:
-            raise MalformedLine(f"{path}: unsupported vector index version {version}")
-        dim = int(data["dim"])
-        rows = data["rows"]
-        fingerprint = str(data["fingerprint"])
-    concept_ids, labels = _label_rows(graph)
-    if rows.shape != (len(labels), dim):
-        raise MalformedLine(f"{path}: rows of shape {rows.shape}, expected "
-                            f"({len(labels)}, {dim}): one per ontology label")
-    return VectorIndex(dim, rows, concept_ids, labels, fingerprint)
+    with decoding(path, "bundle file"):
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["version"])
+            if version != _VECTOR_VERSION:
+                raise MalformedLine(f"{path}: unsupported vector index version {version}")
+            dim = int(data["dim"])
+            rows = data["rows"]
+            fingerprint = str(data["fingerprint"])
+        concept_ids, labels = _label_rows(graph)
+        if rows.shape != (len(labels), dim):
+            raise MalformedLine(f"{path}: rows of shape {rows.shape}, expected "
+                                f"({len(labels)}, {dim}): one per ontology label")
+        return VectorIndex(dim, rows, concept_ids, labels, fingerprint)
 
 
 def save_bm25_index(index: Bm25Index, path: str | Path) -> None:
@@ -424,23 +424,24 @@ def save_bm25_index(index: Bm25Index, path: str | Path) -> None:
 
 
 def load_bm25_index(path: str | Path, graph: OntologyGraph) -> Bm25Index:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = int(payload["version"])
-    if version != _BM25_VERSION:
-        raise MalformedLine(f"{path}: unsupported BM25 index version {version}")
-    term_freqs = payload["term_freqs"]
-    if len(term_freqs) != len(graph):
-        raise MalformedLine(f"{path}: {len(term_freqs)} documents, but the ontology "
-                            f"has {len(graph)} concepts")
-    index = Bm25Index(
-        graph,
-        term_freqs=[dict(tf) for tf in term_freqs],
-        stopwords=frozenset(payload["stopwords"]),
-        k1=payload["k1"],
-        b=payload["b"],
-    )
-    # df/avgdl are derivable from the documents; a mismatch means corruption
-    if index.df != payload["df"] or index.avgdl != payload["avgdl"]:
-        raise MalformedLine(f"{path}: stored df/avgdl disagree with documents")
-    return index
+    with decoding(path, "bundle file"):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        version = int(payload["version"])
+        if version != _BM25_VERSION:
+            raise MalformedLine(f"{path}: unsupported BM25 index version {version}")
+        term_freqs = payload["term_freqs"]
+        if len(term_freqs) != len(graph):
+            raise MalformedLine(f"{path}: {len(term_freqs)} documents, but the ontology "
+                                f"has {len(graph)} concepts")
+        index = Bm25Index(
+            graph,
+            term_freqs=[dict(tf) for tf in term_freqs],
+            stopwords=frozenset(payload["stopwords"]),
+            k1=payload["k1"],
+            b=payload["b"],
+        )
+        # df/avgdl are derivable from the documents; a mismatch means corruption
+        if index.df != payload["df"] or index.avgdl != payload["avgdl"]:
+            raise MalformedLine(f"{path}: stored df/avgdl disagree with documents")
+        return index

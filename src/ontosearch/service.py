@@ -25,7 +25,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from . import store
-from .errors import OntoSearchError
+from .errors import (
+    Loading,
+    NotFound,
+    OntoSearchError,
+    PayloadTooLarge,
+    RequestTimeout,
+    UnknownConceptId,
+    UsageError,
+)
 from .ranker import hit_json_line
 
 logger = logging.getLogger(__name__)
@@ -82,6 +90,36 @@ class SearchService:
         }
 
 
+# The HTTP status of each error; any other OntoSearchError is a bad request.
+_STATUS = {NotFound: 404, UnknownConceptId: 404, RequestTimeout: 408,
+           PayloadTooLarge: 413, Loading: 503}
+
+
+def _query_k(params: dict) -> int:
+    raw = params.get("k", ["10"])[0]
+    try:
+        k = int(raw)
+    except ValueError:
+        raise UsageError(f"k must be an integer, got {raw!r}") from None
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    return k
+
+
+def _body_length(headers) -> int:
+    """The declared body length; one that is not a non-negative integer,
+    or is above ``MAX_BODY_BYTES``, is refused with the body unread.  The
+    server speaks HTTP/1.0, so the connection closes after every response
+    and takes an unread body with it."""
+    raw = headers.get("Content-Length", "0").strip()
+    if not (raw.isascii() and raw.isdigit()):
+        raise UsageError(f"Content-Length must be a non-negative integer, got {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+    return length
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: SearchService  # set by make_server
 
@@ -91,118 +129,81 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
-        self.wfile.write(raw)
+        if self.command != "HEAD":
+            self.wfile.write(raw)
 
-    def _send_error(self, status: int, code: str, message: str) -> None:
-        self._send(status, json.dumps({"error": code, "message": message}))
+    def _send_error(self, status: int, exc: OntoSearchError) -> None:
+        """The one way an error answer is written: its JSON line."""
+        self._send(status, json.dumps({"error": exc.code, "message": exc.message}))
 
-    def _send_hits(self, hits_array) -> None:
-        """200 with the hit array, or 400 with the code of the error raised."""
+    def send_error(self, code, message=None, explain=None):
+        """http.server's own refusals (a bad request line, an over-long URI,
+        an unsupported method) as the same JSON line."""
+        self._send_error(code, UsageError(message or self.responses[code][0]))
+
+    def _answer(self, route) -> None:
+        """Send the (status, body) ``route`` returns for the request URL,
+        or the JSON line of the error it raises, with that error's status."""
         try:
-            self._send(200, hits_array())
+            status, body = route(urlsplit(self.path))
         except OntoSearchError as exc:
-            self._send_error(400, exc.code, exc.message)
+            self._send_error(_STATUS.get(type(exc), 400), exc)
+            return
+        self._send(status, body)
 
-    def _guard_ready(self) -> bool:
+    def _check_ready(self) -> None:
         if not self.service.ready:
-            self._send_error(503, "app.Loading", "indexes are still loading")
-            return False
-        return True
+            raise Loading("indexes are still loading")
 
-    def _parse_k(self, params: dict) -> int | None:
-        raw = params.get("k", ["10"])[0]
-        try:
-            k = int(raw)
-        except ValueError:
-            self._send_error(400, "app.UsageError", f"k must be an integer, got {raw!r}")
-            return None
-        if k < 1:
-            self._send_error(400, "app.UsageError", "k must be >= 1")
-            return None
-        return k
-
-    def _body_length(self) -> int | None:
-        """The declared body length, or None after answering 400 or 413.
-
-        Either refusal leaves the body unread.  The server speaks HTTP/1.0,
-        so the connection closes after every response and takes an unread
-        body with it."""
-        raw = self.headers.get("Content-Length", "0").strip()
-        if not (raw.isascii() and raw.isdigit()):
-            self._send_error(400, "app.UsageError",
-                             f"Content-Length must be a non-negative integer, got {raw!r}")
-            return None
-        length = int(raw)
-        if length > MAX_BODY_BYTES:
-            self._send_error(413, "app.PayloadTooLarge",
-                             f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
-            return None
-        return length
-
-    def do_GET(self):  # noqa: N802  (http.server naming)
-        url = urlsplit(self.path)
+    def _get(self, url) -> tuple[int, str]:
         if url.path == "/healthz":
-            payload = self.service.health()
-            self._send(200 if self.service.ready else 503, json.dumps(payload))
-            return
-        if not self._guard_ready():
-            return
+            return 200 if self.service.ready else 503, json.dumps(self.service.health())
+        self._check_ready()
         if url.path == "/search":
             params = parse_qs(url.query, keep_blank_values=True)
             if "q" not in params:
-                self._send_error(400, "app.UsageError", "missing query parameter q")
-                return
-            k = self._parse_k(params)
-            if k is None:
-                return
+                raise UsageError("missing query parameter q")
+            k = _query_k(params)
             ranker = params.get("ranker", ["vector"])[0]
-            self._send_hits(lambda: self.service.hits_array(params["q"][0], k, ranker))
-            return
+            return 200, self.service.hits_array(params["q"][0], k, ranker)
         if url.path.startswith("/concept/"):
             concept_id = unquote(url.path[len("/concept/"):])
             record = self.service.concept_record(concept_id)
             if record is None:
-                self._send_error(404, "ontology.UnknownConceptId",
-                                 f"unknown concept id {concept_id!r}")
-                return
-            self._send(200, json.dumps(record, ensure_ascii=False))
-            return
-        self._send_error(404, "app.NotFound", f"no route for {url.path}")
+                raise UnknownConceptId(f"unknown concept id {concept_id!r}")
+            return 200, json.dumps(record, ensure_ascii=False)
+        raise NotFound(f"no route for {url.path}")
 
-    def do_POST(self):  # noqa: N802
-        url = urlsplit(self.path)
+    def _post(self, url) -> tuple[int, str]:
         if url.path != "/match":
-            self._send_error(404, "app.NotFound", f"no route for {url.path}")
-            return
-        if not self._guard_ready():
-            return
-        length = self._body_length()
-        if length is None:
-            return
+            raise NotFound(f"no route for {url.path}")
+        self._check_ready()
+        length = _body_length(self.headers)
         try:
             raw = self.rfile.read(length)
         except TimeoutError:
-            self._send_error(408, "app.RequestTimeout",
-                             f"body of {length} bytes not received within {self.timeout} s")
-            return
+            raise RequestTimeout(
+                f"body of {length} bytes not received within {self.timeout} s") from None
         try:
             body = json.loads(raw.decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._send_error(400, "app.UsageError", f"bad JSON body: {exc}")
-            return
+            raise UsageError(f"bad JSON body: {exc}") from None
         if not isinstance(body, dict):
-            self._send_error(400, "app.UsageError", "body must be a JSON object")
-            return
+            raise UsageError("body must be a JSON object")
         labels = body.get("labels")
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            self._send_error(400, "app.UsageError", "body must carry labels: [str, ...]")
-            return
+            raise UsageError("body must carry labels: [str, ...]")
         k = body.get("k", 10)
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            self._send_error(400, "app.UsageError", "k must be an integer >= 1")
-            return
+            raise UsageError("k must be an integer >= 1")
         ranker = body.get("ranker", "vector")
-        self._send_hits(lambda: self.service.match_array(labels, k, ranker))
+        return 200, self.service.match_array(labels, k, ranker)
+
+    def do_GET(self):  # noqa: N802  (http.server naming)
+        self._answer(self._get)
+
+    def do_POST(self):  # noqa: N802
+        self._answer(self._post)
 
     def log_message(self, format, *args):  # quiet by default
         logger.debug("%s - %s", self.address_string(), format % args)

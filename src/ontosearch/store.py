@@ -20,14 +20,12 @@ A file that cannot be decoded is reported as ``io.MalformedLine`` naming it.
 from __future__ import annotations
 
 import json
-import zipfile
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 from .embedder import Encoder, load_encoder, save_encoder
-from .errors import MalformedLine, UsageError
+from .errors import UsageError
 from .ontology import OntologyGraph, load_ontology, save_ontology
 from .ranker import (
     Bm25Index,
@@ -96,26 +94,16 @@ def load_bundle(index_dir: str | Path) -> IndexBundle:
     )
     vector = encoder = bm25 = None
     if (root / "vector.npz").exists():
-        vector = _read(load_vector_index, root / "vector.npz", graph)
-        encoder = _read(load_encoder, root / "encoder.npz")
+        vector = load_vector_index(root / "vector.npz", graph)
+        encoder = load_encoder(root / "encoder.npz")
         if vector.encoder_fingerprint != encoder.fingerprint():
             raise UsageError(
                 f"{root}: encoder.npz does not match the encoder the vector "
                 "index was built with (fingerprint mismatch)"
             )
     if (root / "bm25.json").exists():
-        bm25 = _read(load_bm25_index, root / "bm25.json", graph)
+        bm25 = load_bm25_index(root / "bm25.json", graph)
     return IndexBundle(graph=graph, vector=vector, encoder=encoder, bm25=bm25)
-
-
-def _read(load: Callable, path: Path, *args):
-    """``load(path, *args)``, with a file that is not valid JSON or npz, or
-    lacks a key or array, reported as ``io.MalformedLine`` naming it."""
-    try:
-        return load(path, *args)
-    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise MalformedLine(f"{path}: corrupt bundle file ({type(exc).__name__}: {exc})",
-                            path=str(path)) from None
 
 
 def query_hits(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedLine
+from .npzio import read_lines
 from .ontology import OntologyGraph, get_siblings, get_uncles
 from .rng import SplitMix64
 
@@ -151,19 +152,13 @@ def write_triplets(path: str | Path, dataset: TripletDataset) -> None:
 def read_triplets(path: str | Path, seed: int = 0) -> TripletDataset:
     entries = []
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(
-                    f"{path}:{lineno}: expected 3 tab-separated fields",
-                    path=str(path),
-                    lineno=lineno,
-                )
-            entries.append(TripletExample(*parts))
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise MalformedLine(f"{path}:{lineno}: expected 3 tab-separated fields")
+        entries.append(TripletExample(*parts))
     return TripletDataset(entries=entries, seed=seed)
 
 

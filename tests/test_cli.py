@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ontosearch.cli import main
+from ontosearch.embedder import SubwordEmbedder, save_encoder
 from ontosearch.npzio import save_arrays
 
 FIG = Path(__file__).parent / "data" / "asthenia"
@@ -400,6 +401,12 @@ class TestArgumentValidation:
         assert code == 1
         assert json.loads(err)["error"] == "io.Error"
 
+    def test_missing_input_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "ingest", *ontology_args()[:-1], str(tmp_path / "absent.tsv"))
+        assert code == 1
+        assert json.loads(err)["error"] == "io.FileNotFound"
+        assert "absent.tsv" in json.loads(err)["message"]
+
 
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
@@ -435,6 +442,11 @@ def _add_label(path):
         fh.write("asthenia\tWeakness\n")
 
 
+def _add_bad_byte(path):
+    with path.open("ab") as fh:
+        fh.write(b"asthenia\tWeak\xffness\n")
+
+
 def _drop_label(path):
     path.write_text("".join(path.read_text(encoding="utf-8").splitlines(True)[:-1]),
                     encoding="utf-8")
@@ -455,9 +467,12 @@ class TestCorruptBundle:
         # the vector index's row count no longer matches the ontology's labels
         ("labels.tsv", _add_label, "vector.npz"),
         ("labels.tsv", _drop_label, "vector.npz"),
+        ("labels.tsv", _add_bad_byte, "labels.tsv"),
+        ("encoder.npz", lambda path: path.write_text("not a zip\n"), "encoder.npz"),
+        ("encoder.npz", _truncate, "encoder.npz"),
     ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-version-1", "vector-not-a-zip",
             "vector-truncated", "vector-no-rows", "vector-version-1", "label-added",
-            "label-dropped"])
+            "label-dropped", "labels-not-utf8", "encoder-not-a-zip", "encoder-truncated"])
     def test_one_malformed_line(self, capsys, built_index, target, corrupt, named):
         corrupt(built_index / target)
         ranker = "bm25" if target == "bm25.json" else "vector"
@@ -467,6 +482,71 @@ class TestCorruptBundle:
         assert out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] == "io.MalformedLine"
         assert named in json.loads(err)["message"]
+
+
+class TestIndexModel:
+    """`index --model` with a file that is not an encoder container gives
+    one coded line naming it, exit 1."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda path: path.write_text("not an encoder\n"),
+        _truncate,
+        _rewrite_npz(table=None),
+        _rewrite_npz(version=2),
+    ], ids=["text-file", "truncated", "no-table", "version-2"])
+    def test_one_malformed_line(self, capsys, tmp_path, corrupt):
+        model = tmp_path / "model.npz"
+        save_encoder(SubwordEmbedder(bucket_count=16, dim=4, seed=0), model)
+        corrupt(model)
+        code, out, err = run(capsys, "index", *ontology_args(), "--model", str(model),
+                             "--out", str(tmp_path / "index"))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "io.MalformedLine"
+        assert str(model) in error["message"]
+        assert "bundle file" not in error["message"]
+
+
+BAD = "<file with a byte that is not UTF-8>"
+
+
+def _ontology_args_with_bad(name):
+    args = ontology_args()
+    args[args.index(f"--{name}") + 1] = BAD
+    return args
+
+
+class TestUndecodableInput:
+    """Every text input must be UTF-8: a file with any other byte gives one
+    coded line naming it, exit 1."""
+
+    @pytest.mark.parametrize("argv, content", [
+        (["ingest", *_ontology_args_with_bad("concepts")], "asthenia\tAsthenia\n"),
+        (["ingest", *_ontology_args_with_bad("labels")], "asthenia\tLassitude\n"),
+        (["ingest", *_ontology_args_with_bad("relations")], "asthenia\tfatigue\n"),
+        (["train", "--triplets", BAD, "--dim", "4", "--buckets", "16", "--out", "m.npz"],
+         "Fatigue\tWeariness\tAsthenia\n"),
+        (["eval", "--index", "index", "--queries", BAD], "q1\tFatigue\tfatigue\n"),
+        (["index", *ontology_args(), "--word-vectors", BAD, "--out", "out"], "fatigue 1 0\n"),
+        (["index", *ontology_args(), "--precomputed", BAD, "--out", "out"], "Fatigue\t1 0\n"),
+        (["index", *ontology_args(), "--bm25", "--stopwords", BAD, "--out", "out"], "the\n"),
+        (["ingest", *ontology_args(), "--config", BAD], "ranker.k = 5\n"),
+    ], ids=["ingest-concepts", "ingest-labels", "ingest-relations", "train-triplets",
+            "eval-queries", "index-word-vectors", "index-precomputed", "index-stopwords",
+            "config"])
+    def test_one_malformed_line(self, capsys, tmp_path, monkeypatch, argv, content):
+        monkeypatch.chdir(tmp_path)
+        assert main(["index", *ontology_args(), "--bm25", "--out", "index"]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content.encode("utf-8") + b"\xff\n")
+        code, out, err = run(capsys, *[str(bad) if arg == BAD else arg for arg in argv])
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "io.MalformedLine"
+        assert str(bad) in error["message"]
 
 
 def declared_script(name):

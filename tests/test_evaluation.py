@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ontosearch.errors import (
     BadBucketEdges,
     EmptyQueryAfterStopwords,
     LengthMismatch,
+    MalformedLine,
     TooFewPairs,
 )
 from ontosearch.evaluation import (
@@ -414,6 +416,13 @@ class TestQueryFile:
         path.write_text("q1\tFatigue|Weariness\tfatigue\n", encoding="utf-8")
         queries = read_queries(path, mode="concept")
         assert queries[0].query_labels == ("Fatigue", "Weariness")
+
+    @pytest.mark.parametrize("relevant", ["", ",", ",,"])
+    def test_row_without_relevant_id(self, tmp_path, relevant):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"q1\ttired\tfatigue\nq2\tweak\t{relevant}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:2: "):
+            read_queries(path)
 
     def test_validation(self):
         with pytest.raises(ValueError):

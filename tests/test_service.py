@@ -307,7 +307,7 @@ def test_stalled_body_is_408(served, monkeypatch):
 
 # --- every request is answered -------------------------------------------------------
 
-DOCUMENTED = {200, 400, 404, 408, 413, 503}
+DOCUMENTED = {200, 400, 404, 408, 413, 414, 501, 503}
 
 
 @pytest.fixture(scope="module")
@@ -330,10 +330,12 @@ def servers(served):
 values = st.one_of(st.sampled_from(["1", "3", "0", "-1", "vector", "bm25", "hybrid", "Fatigue"]),
                    st.text(max_size=8))
 # mostly the routes served, by the method they serve; also an unknown
-# concept, an unknown path, and served paths by the other method
+# concept, an unknown path, served paths by the other method, and methods
+# the service does not implement
 routes = st.sampled_from([("POST", "/match")] * 4 + [("GET", "/search")] * 3 + [
     ("GET", "/healthz"), ("GET", "/concept/asthenia"), ("GET", "/concept/" + quote("no such/é")),
-    ("POST", "/search"), ("GET", "/match"), ("GET", "/"), ("POST", "/healthz")])
+    ("POST", "/search"), ("GET", "/match"), ("GET", "/"), ("POST", "/healthz"),
+    ("PUT", "/match"), ("DELETE", "/concept/asthenia"), ("PATCH", "/search")])
 queries = st.fixed_dictionaries({}, optional={"q": values, "k": values, "ranker": values})
 match_bodies = st.fixed_dictionaries({}, optional={
     "labels": st.one_of(st.lists(st.sampled_from(["Fatigue", "Asthenia"]) | st.text(max_size=10),
@@ -351,6 +353,8 @@ lengths = st.one_of(
 @settings(max_examples=200, deadline=None)
 @example(ready=True, route=("POST", "/match"), query={}, body=b"{}", length=str(10**30))
 @example(ready=True, route=("POST", "/match"), query={}, body=b"{}", length="64")
+@example(ready=True, route=("GET", "/a b c"), query={}, body=b"", length=None)  # 400
+@example(ready=True, route=("GET", "/" + "a" * (1 << 16)), query={}, body=b"", length=None)  # 414
 @given(ready=st.sampled_from([True, True, True, False]), route=routes, query=queries,
        body=st.one_of(match_bodies, st.binary(max_size=48)), length=lengths)
 def test_every_request_gets_a_documented_json_answer(servers, ready, route, query, body, length):
@@ -366,3 +370,10 @@ def test_every_request_gets_a_documented_json_answer(servers, ready, route, quer
     payload = json.loads(answer)
     if status >= 400 and not path.startswith("/healthz"):
         assert set(payload) == {"error", "message"}
+
+
+def test_head_gets_headers_only(servers):
+    status, headers, body = exchange(servers[True], b"HEAD /healthz HTTP/1.0\r\n\r\n")
+    assert status == 501
+    assert headers["Content-Type"] == "application/json; charset=utf-8"
+    assert int(headers["Content-Length"]) > 0 and body == b""
