@@ -25,73 +25,34 @@ from pathlib import Path
 from .errors import UsageError
 from .npzio import read_lines
 
-_KNOWN_KEYS = {
-    "paths.concepts": str,
-    "paths.labels": str,
-    "paths.relations": str,
-    "paths.stopwords": str,
-    "paths.out": str,
-    "train.dim": int,
-    "train.buckets": int,
-    "train.epochs": int,
-    "train.batch": int,
-    "train.lr": float,
-    "train.margin": float,
-    "train.warmup": float,
-    "ranker.k": int,
-    "ranker.k1": float,
-    "ranker.b": float,
-    "serve.bind": str,
-    "seeds.triplets": int,
-    "seeds.train": int,
+# key -> (value type, the subcommands whose flag it feeds).  The flag is
+# the key's name after its section, except that seeds.* keys feed --seed;
+# the paths.* keys other than paths.out name input files.
+_KEYS = {
+    "paths.concepts": (str, ("ingest", "triplets", "index")),
+    "paths.labels": (str, ("ingest", "triplets", "index")),
+    "paths.relations": (str, ("ingest", "triplets", "index")),
+    "paths.stopwords": (str, ("index", "eval")),
+    "paths.out": (str, ("triplets", "train", "index")),
+    "train.dim": (int, ("train",)),
+    "train.buckets": (int, ("train",)),
+    "train.epochs": (int, ("train",)),
+    "train.batch": (int, ("train",)),
+    "train.lr": (float, ("train",)),
+    "train.margin": (float, ("train",)),
+    "train.warmup": (float, ("train",)),
+    "ranker.k": (int, ("query", "match")),
+    "ranker.k1": (float, ("index",)),
+    "ranker.b": (float, ("index",)),
+    "serve.bind": (str, ("serve",)),
+    "seeds.triplets": (int, ("triplets",)),
+    "seeds.train": (int, ("train",)),
 }
 
-# flag destination <- config key, per subcommand
-_COMMAND_KEYS = {
-    "ingest": {
-        "concepts": "paths.concepts",
-        "labels": "paths.labels",
-        "relations": "paths.relations",
-    },
-    "triplets": {
-        "concepts": "paths.concepts",
-        "labels": "paths.labels",
-        "relations": "paths.relations",
-        "out": "paths.out",
-        "seed": "seeds.triplets",
-    },
-    "train": {
-        "dim": "train.dim",
-        "buckets": "train.buckets",
-        "epochs": "train.epochs",
-        "batch": "train.batch",
-        "lr": "train.lr",
-        "margin": "train.margin",
-        "warmup": "train.warmup",
-        "seed": "seeds.train",
-        "out": "paths.out",
-    },
-    "index": {
-        "concepts": "paths.concepts",
-        "labels": "paths.labels",
-        "relations": "paths.relations",
-        "stopwords": "paths.stopwords",
-        "k1": "ranker.k1",
-        "b": "ranker.b",
-        "out": "paths.out",
-    },
-    "query": {"k": "ranker.k"},
-    "match": {"k": "ranker.k"},
-    "eval": {"stopwords": "paths.stopwords"},
-    "serve": {"bind": "serve.bind"},
-}
 
-_PATH_KEYS = {
-    "paths.concepts",
-    "paths.labels",
-    "paths.relations",
-    "paths.stopwords",
-}
+def _flag(key: str) -> str:
+    section, _, name = key.partition(".")
+    return "seed" if section == "seeds" else name
 
 
 @dataclass
@@ -115,10 +76,10 @@ class PipelineConfig:
             key, _, raw = line.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in _KNOWN_KEYS:
+            if key not in _KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _KNOWN_KEYS[key](raw)
+                values[key] = _KEYS[key][0](raw)
             except ValueError:
                 raise UsageError(
                     f"{path}:{lineno}: bad value {raw!r} for {key!r}"
@@ -130,18 +91,19 @@ class PipelineConfig:
             for key in sorted(self.values):
                 fh.write(f"{key} = {self.values[key]}\n")
 
+    def _keys_for(self, command: str) -> list[str]:
+        """The keys of this config that feed a flag of ``command``."""
+        return [key for key, (_, commands) in _KEYS.items()
+                if command in commands and key in self.values]
+
     def defaults_for(self, command: str) -> dict[str, object]:
         """Flag defaults this config contributes to one subcommand."""
-        out = {}
-        for dest, key in _COMMAND_KEYS.get(command, {}).items():
-            if key in self.values:
-                out[dest] = self.values[key]
-        return out
+        return {_flag(key): self.values[key] for key in self._keys_for(command)}
 
     def check_paths(self, command: str) -> None:
         """Referenced input paths must exist when the command starts."""
-        for dest, key in _COMMAND_KEYS.get(command, {}).items():
-            if key in _PATH_KEYS and key in self.values:
+        for key in self._keys_for(command):
+            if key.startswith("paths.") and key != "paths.out":
                 if not Path(str(self.values[key])).exists():
                     raise UsageError(
                         f"config path {key} = {self.values[key]} does not exist"

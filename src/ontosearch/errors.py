@@ -117,10 +117,6 @@ class EmptyQueryAfterStopwords(EvalError):
     code = "eval.EmptyQueryAfterStopwords"
 
 
-class BadBucketEdges(EvalError):
-    code = "eval.BadBucketEdges"
-
-
 class LengthMismatch(EvalError):
     code = "eval.LengthMismatch"
 
@@ -137,10 +133,6 @@ class UsageError(OntoSearchError):
 
 class NotFound(OntoSearchError):
     code = "app.NotFound"
-
-
-class Loading(OntoSearchError):
-    code = "app.Loading"
 
 
 class PayloadTooLarge(OntoSearchError):

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .embedder import tokenize
 from .errors import (
-    BadBucketEdges,
     EmptyQueryAfterStopwords,
     LengthMismatch,
     MalformedLine,
@@ -27,7 +26,7 @@ from .npzio import read_lines
 from .ontology import Concept, OntologyGraph, gain_of_relation, relation_between
 from .ranker import DEFAULT_STOPWORDS, RankedHit
 
-DEFAULT_BUCKET_EDGES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+BUCKET_EDGES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_K_LIST = (1, 5, 10)
 
 
@@ -272,24 +271,14 @@ class EvalReport:
 
 
 def bucketize_by_overlap(
-    rows: Sequence[PerQueryResult],
-    edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
-    k: int = 10,
+    rows: Sequence[PerQueryResult], k: int = 10
 ) -> list[OverlapBucket]:
-    """Assign rows to [lo, hi) overlap intervals (last interval closed) and
-    average their Hits@k.  Empty buckets report no mean rather than zero.
-    Rows without an overlap value (concept-mode queries) are left out."""
-    edges = list(edges)
-    if (
-        len(edges) < 2
-        or edges[0] != 0.0
-        or edges[-1] != 1.0
-        or any(lo >= hi for lo, hi in zip(edges, edges[1:]))
-    ):
-        raise BadBucketEdges(
-            f"edges must increase strictly from 0.0 to 1.0, got {edges}"
-        )
-    buckets = [OverlapBucket(lower=lo, upper=hi) for lo, hi in zip(edges, edges[1:])]
+    """Assign rows to the [lo, hi) intervals of ``BUCKET_EDGES`` (last
+    interval closed) and average their Hits@k.  Empty buckets report no
+    mean rather than zero.  Rows without an overlap value (concept-mode
+    queries) are left out."""
+    buckets = [OverlapBucket(lower=lo, upper=hi)
+               for lo, hi in zip(BUCKET_EDGES, BUCKET_EDGES[1:])]
     sums = [0 for _ in buckets]
     for row in rows:
         overlap = row.overlap_degree
@@ -318,7 +307,6 @@ def evaluate_run(
     graph: OntologyGraph,
     k_list: Sequence[int] = DEFAULT_K_LIST,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    bucket_edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
 ) -> EvalReport:
     """Run every query through ``ranker`` at k = max(k_list) and assemble
     per-query rows, aggregate means, and overlap buckets.
@@ -374,7 +362,7 @@ def evaluate_run(
 
     bucket_k = k_max if 10 not in k_list else 10
     buckets = (
-        bucketize_by_overlap(rows, bucket_edges, k=bucket_k)
+        bucketize_by_overlap(rows, k=bucket_k)
         if any(r.overlap_degree is not None for r in rows)
         else []
     )

@@ -243,7 +243,8 @@ class Bm25Index:
     ):
         self.concept_ids = graph.sorted_ids()
         self.term_freqs = term_freqs
-        self.preferred_labels = [graph.concepts[cid].preferred_label for cid in self.concept_ids]
+        # one row per concept, labelled with its preferred label
+        self.labels = [graph.concepts[cid].preferred_label for cid in self.concept_ids]
         self.stopwords = stopwords
         self.k1 = k1
         self.b = b
@@ -267,11 +268,6 @@ class Bm25Index:
         self._norm = k1 * (1.0 - b + b * lens / self.avgdl) if self.avgdl else np.zeros(self.n_docs)
         self._pos = {cid: i for i, cid in enumerate(self.concept_ids)}
         self._fingerprint: str | None = None
-
-    @property
-    def labels(self) -> list[str]:
-        """Row labels of the ranker contract: one row per concept."""
-        return self.preferred_labels
 
     def idf(self, term: str) -> float:
         df = self.df.get(term, 0)

@@ -12,8 +12,9 @@ prints, so the two surfaces answer byte-identically.  All state is loaded
 once and never mutated, apart from the encoder's bounded per-token memo,
 whose entries never change once written; concurrent requests are safe.
 A ``/match`` body longer than ``MAX_BODY_BYTES`` is refused with 413
-without being read; one that stalls for ``READ_TIMEOUT_S`` seconds gets
-408, so no handler thread waits on a client for ever.
+without being read; headers or a body that stall for ``READ_TIMEOUT_S``
+seconds get 408, and a request line that stalls closes the connection, so
+no handler thread waits on a client for ever.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from . import store
 from .errors import (
-    Loading,
     NotFound,
     OntoSearchError,
     PayloadTooLarge,
@@ -45,26 +45,14 @@ READ_TIMEOUT_S = 10.0
 class SearchService:
     """Request logic, independent of the HTTP plumbing for testability."""
 
-    def __init__(self, bundle: store.IndexBundle | None = None):
+    def __init__(self, bundle: store.IndexBundle):
         self.bundle = bundle
 
-    @property
-    def ready(self) -> bool:
-        return self.bundle is not None
-
     def hits_array(self, text: str, k: int, ranker: str) -> str:
-        lines = [
-            hit_json_line(hit)
-            for hit in store.query_hits(self.bundle, text, k, ranker)
-        ]
-        return "[" + ",".join(lines) + "]"
+        return _json_array(store.query_hits(self.bundle, text, k, ranker))
 
     def match_array(self, labels: list[str], k: int, ranker: str) -> str:
-        lines = [
-            hit_json_line(hit)
-            for hit in store.match_hits(self.bundle, labels, k, ranker)
-        ]
-        return "[" + ",".join(lines) + "]"
+        return _json_array(store.match_hits(self.bundle, labels, k, ranker))
 
     def concept_record(self, concept_id: str) -> dict | None:
         if concept_id not in self.bundle.graph:
@@ -78,8 +66,6 @@ class SearchService:
         }
 
     def health(self) -> dict:
-        if not self.ready:
-            return {"status": "loading"}
         vector = self.bundle.vector
         bm25 = self.bundle.bm25
         return {
@@ -90,9 +76,14 @@ class SearchService:
         }
 
 
+def _json_array(hits) -> str:
+    """A JSON array of the hits' CLI lines, byte for byte."""
+    return "[" + ",".join(map(hit_json_line, hits)) + "]"
+
+
 # The HTTP status of each error; any other OntoSearchError is a bad request.
 _STATUS = {NotFound: 404, UnknownConceptId: 404, RequestTimeout: 408,
-           PayloadTooLarge: 413, Loading: 503}
+           PayloadTooLarge: 413}
 
 
 def _query_k(params: dict) -> int:
@@ -141,6 +132,17 @@ class _Handler(BaseHTTPRequestHandler):
         an unsupported method) as the same JSON line."""
         self._send_error(code, UsageError(message or self.responses[code][0]))
 
+    def parse_request(self):
+        """Headers that stop arriving for ``READ_TIMEOUT_S`` get 408; the
+        base class would close the connection without an answer."""
+        try:
+            return super().parse_request()
+        except TimeoutError:
+            self.close_connection = True
+            self._send_error(408, RequestTimeout(
+                f"headers not received within {self.timeout} s"))
+            return False
+
     def _answer(self, route) -> None:
         """Send the (status, body) ``route`` returns for the request URL,
         or the JSON line of the error it raises, with that error's status."""
@@ -151,14 +153,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send(status, body)
 
-    def _check_ready(self) -> None:
-        if not self.service.ready:
-            raise Loading("indexes are still loading")
-
     def _get(self, url) -> tuple[int, str]:
         if url.path == "/healthz":
-            return 200 if self.service.ready else 503, json.dumps(self.service.health())
-        self._check_ready()
+            return 200, json.dumps(self.service.health())
         if url.path == "/search":
             params = parse_qs(url.query, keep_blank_values=True)
             if "q" not in params:
@@ -177,7 +174,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _post(self, url) -> tuple[int, str]:
         if url.path != "/match":
             raise NotFound(f"no route for {url.path}")
-        self._check_ready()
         length = _body_length(self.headers)
         try:
             raw = self.rfile.read(length)
@@ -225,10 +221,9 @@ def start_in_thread(server: ThreadingHTTPServer) -> threading.Thread:
 
 
 def serve(index_dir: str, host: str, port: int) -> None:
-    """Load the index directory and serve until interrupted."""
-    service = SearchService()
-    server = make_server(service, host, port)
-    service.bundle = store.load_bundle(index_dir)
+    """Load the index directory, then bind and serve until interrupted:
+    until the load ends, connections are refused."""
+    server = make_server(SearchService(store.load_bundle(index_dir)), host, port)
     bound = server.socket.getsockname()
     print(f"serving {index_dir} on http://{bound[0]}:{bound[1]}", flush=True)
     try:

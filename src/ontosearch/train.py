@@ -28,6 +28,10 @@ _DISTANCE_EPS = 1e-12
 # both moments, table rows, two scratch buffers; 128 KiB each at dim 64)
 # stay in cache across the update's dozen elementwise passes.
 _ADAM_BLOCK_ROWS = 256
+# Adam's moment decay rates and denominator guard, the textbook defaults.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -43,9 +47,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 2e-5
     warmup_fraction: float = 0.10
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -136,8 +137,7 @@ class _Adam:
     for bit that of the whole-array expressions.
     """
 
-    def __init__(self, shape: tuple[int, int], cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, shape: tuple[int, int]):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         rows = min(shape[0], _ADAM_BLOCK_ROWS)
@@ -148,7 +148,7 @@ class _Adam:
              step: int, lr: float) -> None:
         """Apply the mean gradient ``grad / batch``, then zero ``grad`` for
         the next batch."""
-        b1, b2 = self.cfg.adam_beta1, self.cfg.adam_beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
         for lo in range(0, table.shape[0], _ADAM_BLOCK_ROWS):
             rows = slice(lo, lo + _ADAM_BLOCK_ROWS)
@@ -166,7 +166,7 @@ class _Adam:
             a *= lr
             np.divide(v, c2, out=b)
             np.sqrt(b, out=b)
-            b += self.cfg.adam_eps
+            b += _ADAM_EPS
             a /= b
             table[rows] -= a
             g.fill(0.0)
@@ -199,7 +199,7 @@ def train(
     total_steps = cfg.epochs * n_batches
     warmup_steps = math.floor(cfg.warmup_fraction * total_steps)
 
-    adam = _Adam(model.table.shape, cfg)
+    adam = _Adam(model.table.shape)
     grad = np.zeros_like(model.table)
     step = 0
 

@@ -149,7 +149,8 @@ def write_triplets(path: str | Path, dataset: TripletDataset) -> None:
             fh.write(f"{entry.anchor}\t{entry.positive}\t{entry.negative}\n")
 
 
-def read_triplets(path: str | Path, seed: int = 0) -> TripletDataset:
+def read_triplets(path: str | Path) -> TripletDataset:
+    """A file does not record the seed it was sampled with; it reads as 0."""
     entries = []
     path = Path(path)
     for lineno, line in read_lines(path):
@@ -159,7 +160,7 @@ def read_triplets(path: str | Path, seed: int = 0) -> TripletDataset:
         if len(parts) != 3:
             raise MalformedLine(f"{path}:{lineno}: expected 3 tab-separated fields")
         entries.append(TripletExample(*parts))
-    return TripletDataset(entries=entries, seed=seed)
+    return TripletDataset(entries=entries, seed=0)
 
 
 def write_split(

@@ -49,15 +49,18 @@ class TestPipelineConfig:
             PipelineConfig.load(path)
 
     def test_defaults_scoped_per_command(self, tmp_path):
-        cfg = PipelineConfig({"ranker.k": 7, "train.epochs": 2})
+        cfg = PipelineConfig({"ranker.k": 7, "train.epochs": 2, "seeds.train": 3,
+                              "paths.stopwords": "stop.txt"})
         assert cfg.defaults_for("query") == {"k": 7}
-        assert cfg.defaults_for("train")["epochs"] == 2
-        assert "k" not in cfg.defaults_for("train")
+        assert cfg.defaults_for("train") == {"epochs": 2, "seed": 3}
+        assert cfg.defaults_for("eval") == {"stopwords": "stop.txt"}
 
     def test_missing_path_checked_at_start(self, tmp_path):
         cfg = PipelineConfig({"paths.concepts": str(tmp_path / "absent.tsv")})
         with pytest.raises(UsageError):
             cfg.check_paths("ingest")
+        # an output path is made by the command, so it need not exist
+        PipelineConfig({"paths.out": str(tmp_path / "new")}).check_paths("triplets")
 
 
 class TestConfigDrivenCli:

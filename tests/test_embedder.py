@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ontosearch import embedder
@@ -63,17 +63,27 @@ class TestCosine:
         with pytest.raises(DimensionMismatch):
             cosine_similarity(np.zeros(2), np.zeros(3))
 
+    # |v| above the zero-norm cut, |alpha * v| below it
+    @example(u=[0.0, 0.0, 1.0, 0.0], v=[0.0, 0.0, 3.079378561545979e-11, 0.0], alpha=0.01)
     @given(
-        st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-        st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-        st.floats(min_value=0.01, max_value=100.0),
+        u=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+        v=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+        alpha=st.floats(min_value=0.01, max_value=100.0),
     )
     def test_positive_scaling_invariance(self, u, v, alpha):
+        """Invariant while both norms are above the zero-norm cut; a side
+        with a norm below it is exactly 0.0."""
         u, v = np.array(u), np.array(v)
-        base = cosine_similarity(u, v)
-        scaled = cosine_similarity(u, alpha * v)
-        assert scaled == pytest.approx(base, abs=1e-9)
-        assert -1.0 <= base <= 1.0
+        above = []
+        for w in (v, alpha * v):
+            value = cosine_similarity(u, w)
+            assert -1.0 <= value <= 1.0
+            if min(np.linalg.norm(u), np.linalg.norm(w)) < embedder._ZERO_NORM_EPS:
+                assert value == 0.0
+            else:
+                above.append(value)
+        if len(above) == 2:
+            assert above[1] == pytest.approx(above[0], abs=1e-9)
 
 
 class TestSubwordEmbedder:

@@ -9,7 +9,6 @@ from scipy import stats as scipy_stats
 from scipy.special import betainc as scipy_betainc
 
 from ontosearch.errors import (
-    BadBucketEdges,
     EmptyQueryAfterStopwords,
     LengthMismatch,
     MalformedLine,
@@ -201,21 +200,9 @@ class TestBuckets:
         assert buckets[0].mean_hits_at_k == 1.0
         assert all(b.mean_hits_at_k is None for b in buckets[1:])
 
-    def test_single_bucket(self):
-        buckets = bucketize_by_overlap(self.rows([0.2, 0.9]), edges=(0.0, 1.0))
-        assert len(buckets) == 1
-        assert buckets[0].query_ids == ["q0", "q1"]
-
     def test_mean_hits(self):
         buckets = bucketize_by_overlap(self.rows([0.05, 0.1], hits10=[1, 0]))
         assert buckets[0].mean_hits_at_k == 0.5
-
-    @pytest.mark.parametrize(
-        "edges", [(0.0,), (0.1, 1.0), (0.0, 0.9), (0.0, 0.5, 0.5, 1.0), (1.0, 0.0)]
-    )
-    def test_bad_edges(self, edges):
-        with pytest.raises(BadBucketEdges):
-            bucketize_by_overlap(self.rows([0.5]), edges=edges)
 
     def test_rows_without_overlap_skipped(self):
         rows = self.rows([0.5])

@@ -181,7 +181,7 @@ def reference_bm25(index, texts, k):
         for pos, cid in enumerate(index.concept_ids):
             score = reference_bm25_score(index, tokenize(text), pos)
             if score > best.get(cid, (0.0,))[0]:
-                best[cid] = (score, index.preferred_labels[pos])
+                best[cid] = (score, index.labels[pos])
     return _top(best, k)
 
 

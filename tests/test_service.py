@@ -1,7 +1,10 @@
 import http.client
 import json
+import re
 import socket
 import string
+import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -84,20 +87,55 @@ class TestHealth:
         assert payload["vector_fingerprint"] == bundle.vector.encoder_fingerprint
         assert payload["bm25_fingerprint"] == bundle.bm25.fingerprint()
 
-    def test_503_while_loading(self):
-        server = make_server(SearchService(bundle=None))
-        start_in_thread(server)
-        host, port = server.socket.getsockname()
-        try:
-            status, body = get(f"http://{host}:{port}/search?q=x&k=1")
-            assert status == 503
-            assert json.loads(body)["error"] == "app.Loading"
-            status, body = get(f"http://{host}:{port}/healthz")
-            assert status == 503
-            assert json.loads(body)["status"] == "loading"
-        finally:
+
+def free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_serve_refuses_connections_until_the_bundle_has_loaded(served, monkeypatch):
+    _, bundle = served
+    entered, release = threading.Event(), threading.Event()
+
+    def held_load(index_dir):
+        entered.set()
+        release.wait(10)
+        return bundle
+
+    servers = []
+
+    def recording_make_server(*args):
+        servers.append(make_server(*args))
+        return servers[-1]
+
+    monkeypatch.setattr(store, "load_bundle", held_load)
+    monkeypatch.setattr(service, "make_server", recording_make_server)
+    port = free_port()
+    thread = threading.Thread(target=service.serve, args=("bundle", "127.0.0.1", port),
+                              daemon=True)
+    thread.start()
+    try:
+        assert entered.wait(10)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+        release.set()
+        deadline = time.monotonic() + 10
+        while True:  # until the server has bound its port
+            try:
+                status, _, body = exchange(("127.0.0.1", port), b"GET /healthz HTTP/1.0\r\n\r\n")
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        assert status == 200
+        assert json.loads(body)["status"] == "ok"
+    finally:
+        release.set()
+        for server in servers:
             server.shutdown()
-            server.server_close()
+        thread.join(10)
+    assert not thread.is_alive()
 
 
 class TestSearch:
@@ -288,43 +326,64 @@ def exchange(address, request: bytes) -> tuple[int, dict, bytes]:
     return int(status_line.split()[1]), headers, body
 
 
-def test_stalled_body_is_408(served, monkeypatch):
+@pytest.fixture(scope="module")
+def address(served):
+    """The address of a service whose reads time out after 0.1 s."""
     _, bundle = served
-    monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)
-    server = make_server(SearchService(bundle))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(service, "READ_TIMEOUT_S", 0.1)
+        server = make_server(SearchService(bundle))
     start_in_thread(server)
-    try:
-        # 100 bytes declared, 12 sent, and the connection left open
-        status, _, body = exchange(server.socket.getsockname(),
-                                   b"POST /match HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
-                                   b'{"labels": [')
-        assert status == 408
-        assert json.loads(body)["error"] == "app.RequestTimeout"
-    finally:
-        server.shutdown()
-        server.server_close()
+    yield server.socket.getsockname()
+    server.shutdown()
+    server.server_close()
+
+
+def test_stalled_body_is_408(address):
+    # 100 bytes declared, 12 sent, and the connection left open
+    status, _, body = exchange(address, b"POST /match HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+                                        b'{"labels": [')
+    assert status == 408
+    assert json.loads(body)["error"] == "app.RequestTimeout"
+
+
+def test_stalled_headers_are_408(address):
+    # a header line sent, and the blank line that ends the headers never
+    status, _, body = exchange(address, b"GET /healthz HTTP/1.0\r\nX-A: 1\r\n")
+    assert status == 408
+    assert json.loads(body)["error"] == "app.RequestTimeout"
 
 
 # --- every request is answered -------------------------------------------------------
 
-DOCUMENTED = {200, 400, 404, 408, 413, 414, 501, 503}
+def readme_statuses() -> set[int]:
+    """The statuses in the README's HTTP service table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## HTTP service\n", 1)[1].split("\n## ", 1)[0]
+    return {int(status) for status in re.findall(r"^\| (\d{3}) \|", section, re.MULTILINE)}
 
 
-@pytest.fixture(scope="module")
-def servers(served):
-    """{ready: address} for a loaded and a still-loading service whose
-    reads time out after 0.1 s."""
-    _, bundle = served
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(service, "READ_TIMEOUT_S", 0.1)
-        running = {ready: make_server(SearchService(bundle if ready else None))
-                   for ready in (True, False)}
-    for server in running.values():
-        start_in_thread(server)
-    yield {ready: server.socket.getsockname() for ready, server in running.items()}
-    for server in running.values():
-        server.shutdown()
-        server.server_close()
+# One real request per status the service answers.
+STATUS_REQUESTS = {
+    200: b"GET /healthz HTTP/1.0\r\n\r\n",
+    400: b"GET /search?q=x&k=0 HTTP/1.0\r\n\r\n",
+    404: b"GET /nothing/here HTTP/1.0\r\n\r\n",
+    408: b"POST /match HTTP/1.0\r\nContent-Length: 100\r\n\r\n{",
+    413: f"POST /match HTTP/1.0\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+    414: b"GET /" + b"a" * (1 << 16) + b" HTTP/1.0\r\n\r\n",
+    501: b"PUT /match HTTP/1.0\r\n\r\n",
+}
+DOCUMENTED = set(STATUS_REQUESTS)
+
+
+@pytest.mark.parametrize("status", sorted(readme_statuses() | DOCUMENTED))
+def test_readme_status_table_is_what_the_service_answers(address, status):
+    assert status in readme_statuses(), "answered, but missing from the README table"
+    assert status in STATUS_REQUESTS, "in the README table, but no request gets it"
+    got, headers, body = exchange(address, STATUS_REQUESTS[status])
+    assert got == status
+    assert headers["Content-Type"] == "application/json; charset=utf-8"
+    json.loads(body)
 
 
 values = st.one_of(st.sampled_from(["1", "3", "0", "-1", "vector", "bm25", "hybrid", "Fatigue"]),
@@ -351,29 +410,29 @@ lengths = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@example(ready=True, route=("POST", "/match"), query={}, body=b"{}", length=str(10**30))
-@example(ready=True, route=("POST", "/match"), query={}, body=b"{}", length="64")
-@example(ready=True, route=("GET", "/a b c"), query={}, body=b"", length=None)  # 400
-@example(ready=True, route=("GET", "/" + "a" * (1 << 16)), query={}, body=b"", length=None)  # 414
-@given(ready=st.sampled_from([True, True, True, False]), route=routes, query=queries,
+@example(route=("POST", "/match"), query={}, body=b"{}", length=str(10**30))
+@example(route=("POST", "/match"), query={}, body=b"{}", length="64")
+@example(route=("GET", "/a b c"), query={}, body=b"", length=None)  # 400
+@example(route=("GET", "/" + "a" * (1 << 16)), query={}, body=b"", length=None)  # 414
+@given(route=routes, query=queries,
        body=st.one_of(match_bodies, st.binary(max_size=48)), length=lengths)
-def test_every_request_gets_a_documented_json_answer(servers, ready, route, query, body, length):
+def test_every_request_gets_a_documented_json_answer(address, route, query, body, length):
     method, path = route
     target = f"{path}?{urlencode(query)}" if query else path
     header = "" if length is None else (
         f"Content-Length: {len(body) if length == 'exact' else length}\r\n")
     request = f"{method} {target} HTTP/1.0\r\n{header}\r\n".encode("ascii") + body
-    status, headers, answer = exchange(servers[ready], request)
+    status, headers, answer = exchange(address, request)
     assert status in DOCUMENTED, (status, answer)
     assert headers["Content-Type"] == "application/json; charset=utf-8"
     assert int(headers["Content-Length"]) == len(answer)
     payload = json.loads(answer)
-    if status >= 400 and not path.startswith("/healthz"):
+    if status >= 400:
         assert set(payload) == {"error", "message"}
 
 
-def test_head_gets_headers_only(servers):
-    status, headers, body = exchange(servers[True], b"HEAD /healthz HTTP/1.0\r\n\r\n")
+def test_head_gets_headers_only(address):
+    status, headers, body = exchange(address, b"HEAD /healthz HTTP/1.0\r\n\r\n")
     assert status == 501
     assert headers["Content-Type"] == "application/json; charset=utf-8"
     assert int(headers["Content-Length"]) > 0 and body == b""
