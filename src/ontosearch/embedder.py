@@ -323,6 +323,13 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
         raise TypeError(f"unknown encoder type {type(encoder)!r}")
 
 
+def _row_table(path: str | Path, keys: np.ndarray, matrix: np.ndarray) -> dict[str, np.ndarray]:
+    """``{key: its row of matrix}``; a matrix holding NaN or ±inf is refused."""
+    if not np.isfinite(matrix).all():
+        raise MalformedLine(f"{path}: matrix holds NaN or infinite values")
+    return {str(key): row.copy() for key, row in zip(keys, matrix, strict=True)}
+
+
 def load_encoder(path: str | Path) -> Encoder:
     with decoding(path, "encoder file"), np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
@@ -330,7 +337,7 @@ def load_encoder(path: str | Path) -> Encoder:
             raise MalformedLine(f"{path}: unsupported container version {version}")
         kind = str(data["kind"])
         dim = int(data["dim"])
-        if kind == "subword":
+        if kind == "subword":  # the constructor refuses a table that is not finite
             return SubwordEmbedder(
                 bucket_count=int(data["bucket_count"]),
                 dim=dim,
@@ -340,17 +347,11 @@ def load_encoder(path: str | Path) -> Encoder:
                 table=data["table"],
             )
         if kind == "wordvec":
-            tokens = [str(t) for t in data["tokens"]]
-            matrix = data["matrix"]
             return StaticWordVectors(
-                {t: matrix[i].copy() for i, t in enumerate(tokens)},
+                _row_table(path, data["tokens"], data["matrix"]),
                 dim,
                 duplicates=int(data["duplicates"]),
             )
         if kind == "precomputed":
-            texts = [str(t) for t in data["texts"]]
-            matrix = data["matrix"]
-            return PrecomputedEncoder(
-                {t: matrix[i].copy() for i, t in enumerate(texts)}, dim
-            )
+            return PrecomputedEncoder(_row_table(path, data["texts"], data["matrix"]), dim)
     raise MalformedLine(f"{path}: unknown encoder kind {kind!r}")

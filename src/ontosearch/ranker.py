@@ -128,15 +128,15 @@ class VectorIndex:
         rows = np.asarray(rows, dtype=np.float64).reshape(len(concept_ids), dim)
         if len(concept_ids) != len(labels):
             raise ValueError("row metadata lengths differ")
+        # min and max carry any NaN or infinity, with no temporary the size of rows
+        if not np.isfinite([rows.min(initial=0.0), rows.max(initial=0.0)]).all():
+            raise MalformedLine("vector index rows hold NaN or infinite values")
         self.dim = dim
         self.rows = rows
         self.concept_ids = list(concept_ids)
         self.labels = list(labels)
         self.encoder_fingerprint = encoder_fingerprint
-        self._starts = _concept_runs(self.concept_ids)
-        self._concept_of_row = np.repeat(
-            np.arange(len(self._starts)), np.diff(self._starts, append=len(rows))
-        )
+        self._slots, self._spill_owner = _slot_matrix(_concept_runs(self.concept_ids), len(rows))
 
     def __len__(self) -> int:
         return len(self.concept_ids)
@@ -145,16 +145,54 @@ class VectorIndex:
         """Each concept's best cosine and its first row reaching it."""
         q = np.asarray(query_vec, dtype=np.float64)
         norm = float(np.linalg.norm(q))
-        if norm < _ZERO_NORM_EPS or len(self) == 0:
-            scores = np.zeros(len(self))
+        n = len(self)
+        scores = np.empty(n + 1)
+        scores[n] = -np.inf  # the score of the empty slot
+        if norm < _ZERO_NORM_EPS:
+            scores[:n] = 0.0
         else:
-            scores = self.rows @ (q / norm)
-            np.clip(scores, -1.0, 1.0, out=scores)
-        best = np.maximum.reduceat(scores, self._starts)
-        below = scores < best[self._concept_of_row]  # NaN-safe "not the max"
-        rows = np.where(below, len(self), np.arange(len(self)))
-        winners = np.minimum.reduceat(rows, self._starts)
+            np.matmul(self.rows, q / norm, out=scores[:n])
+            np.clip(scores[:n], -1.0, 1.0, out=scores[:n])
+        slot_scores = scores.take(self._slots)
+        best = slot_scores.max(axis=0)
+        owner = self._spill_owner
+        concepts = len(best) - len(owner)
+        if len(owner):  # each spill column gets its owner's max over all its columns
+            with np.errstate(invalid="ignore"):  # a NaN max stays NaN
+                np.maximum.at(best, owner, best[concepts:])
+            best[concepts:] = best[owner]
+        # a slot below its column's max (NaN-safe) is pushed past every row,
+        # so the column's least slot is its first row reaching the max
+        winners = (slot_scores < best) * n
+        winners += self._slots
+        winners = winners.min(axis=0)
+        if len(owner):
+            np.minimum.at(winners, owner, winners[concepts:])
+        winners = winners[:concepts]
         return scores[winners], winners
+
+
+def _slot_matrix(starts: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each concept as one column of a slot-major matrix.
+
+    Slot j of column c holds the row of concept c's j-th label, or
+    ``n_rows`` (the empty slot) past its last label.  The width is capped
+    at twice the mean label count, so the matrix holds fewer than 5 slots
+    per row; a concept with more labels than that continues in extra
+    columns after the first ``len(starts)``, whose owners are returned
+    alongside.
+    """
+    counts = np.diff(starts, append=n_rows)
+    width = max(1, min(counts.max(initial=0), 2 * math.ceil(n_rows / max(len(starts), 1))))
+    concept = np.repeat(np.arange(len(starts)), counts)
+    label = np.arange(n_rows) - starts[concept]
+    extra = (counts - 1) // width  # columns past the first, per concept
+    block = label // width
+    column = np.where(block == 0, concept,
+                      len(starts) + (np.cumsum(extra) - extra)[concept] + block - 1)
+    slots = np.full((width, len(starts) + extra.sum()), n_rows, dtype=np.intp)
+    slots[label % width, column] = np.arange(n_rows)
+    return slots, np.repeat(np.arange(len(starts)), extra)
 
 
 def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str]]:
@@ -401,7 +439,10 @@ def load_vector_index(path: str | Path, graph: OntologyGraph) -> VectorIndex:
         if rows.shape != (len(labels), dim):
             raise MalformedLine(f"{path}: rows of shape {rows.shape}, expected "
                                 f"({len(labels)}, {dim}): one per ontology label")
-        return VectorIndex(dim, rows, concept_ids, labels, fingerprint)
+        try:
+            return VectorIndex(dim, rows, concept_ids, labels, fingerprint)
+        except MalformedLine as exc:
+            raise MalformedLine(f"{path}: {exc}") from None
 
 
 def save_bm25_index(index: Bm25Index, path: str | Path) -> None:

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from ontosearch.cli import main
-from ontosearch.embedder import SubwordEmbedder, save_encoder
+from ontosearch.embedder import (
+    PrecomputedEncoder,
+    StaticWordVectors,
+    SubwordEmbedder,
+    save_encoder,
+)
 from ontosearch.npzio import save_arrays
 
 FIG = Path(__file__).parent / "data" / "asthenia"
@@ -437,6 +442,16 @@ def _rewrite_npz(**changes):
     return rewrite
 
 
+def _poison_npz(name, value):
+    """Set rows 1-2 of array ``name`` to ``value`` (NaN or an infinity)."""
+    def poison(path):
+        with np.load(path) as data:
+            array = data[name].copy()
+        array[1:3] = value
+        _rewrite_npz(**{name: array})(path)
+    return poison
+
+
 def _add_label(path):
     with path.open("a", encoding="utf-8") as fh:
         fh.write("asthenia\tWeakness\n")
@@ -470,9 +485,12 @@ class TestCorruptBundle:
         ("labels.tsv", _add_bad_byte, "labels.tsv"),
         ("encoder.npz", lambda path: path.write_text("not a zip\n"), "encoder.npz"),
         ("encoder.npz", _truncate, "encoder.npz"),
+        ("vector.npz", _poison_npz("rows", np.nan), "vector.npz"),
+        ("encoder.npz", _poison_npz("table", np.inf), "encoder.npz"),
     ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-version-1", "vector-not-a-zip",
             "vector-truncated", "vector-no-rows", "vector-version-1", "label-added",
-            "label-dropped", "labels-not-utf8", "encoder-not-a-zip", "encoder-truncated"])
+            "label-dropped", "labels-not-utf8", "encoder-not-a-zip", "encoder-truncated",
+            "vector-rows-nan", "encoder-table-inf"])
     def test_one_malformed_line(self, capsys, built_index, target, corrupt, named):
         corrupt(built_index / target)
         ranker = "bm25" if target == "bm25.json" else "vector"
@@ -506,6 +524,28 @@ class TestIndexModel:
         assert error["error"] == "io.MalformedLine"
         assert str(model) in error["message"]
         assert "bundle file" not in error["message"]
+
+    @pytest.mark.parametrize("encoder, corrupt", [
+        (StaticWordVectors({"fatigue": np.array([np.nan, 1.0]), "weariness": np.ones(2)}, 2),
+         None),
+        (PrecomputedEncoder({"Fatigue": np.array([1.0, -np.inf])}, 2), None),
+        (StaticWordVectors({"fatigue": np.ones(2), "weariness": np.ones(2)}, 2),
+         _rewrite_npz(matrix=np.ones((1, 2)))),
+    ], ids=["wordvec-nan", "precomputed-inf", "wordvec-matrix-short"])
+    def test_bad_matrix(self, capsys, tmp_path, encoder, corrupt):
+        """A word-vector or precomputed matrix must be finite and hold one
+        row per token or text."""
+        model = tmp_path / "model.npz"
+        save_encoder(encoder, model)
+        if corrupt:
+            corrupt(model)
+        code, out, err = run(capsys, "index", *ontology_args(), "--model", str(model),
+                             "--out", str(tmp_path / "index"))
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "io.MalformedLine"
+        assert str(model) in error["message"]
 
 
 BAD = "<file with a byte that is not UTF-8>"

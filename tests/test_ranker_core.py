@@ -4,6 +4,8 @@
   set, so any change to scores, labels, order or tie-breaking shows.
 * A property test compares every entry point with a plain dict-and-sort
   reference ranker on small random ontologies full of ties.
+* ``VectorIndex.score`` is compared byte for byte with the per-run
+  ``reduceat`` scoring it replaced, and its slot matrix is sized.
 """
 
 import hashlib
@@ -218,3 +220,77 @@ def test_every_entry_point_equals_the_reference(onto, texts, k):
 def test_vector_rows_not_grouped_in_id_order_are_rejected(concept_ids):
     with pytest.raises(MalformedLine, match="grouped per concept"):
         VectorIndex(1, np.ones((3, 1)), concept_ids, ["x", "y", "z"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_rows_that_are_not_finite_are_rejected(bad):
+    rows = np.ones((3, 2))
+    rows[1, 0] = bad
+    with pytest.raises(MalformedLine, match="NaN or infinite"):
+        VectorIndex(2, rows, ["a", "a", "b"], ["x", "y", "z"])
+
+
+# --- the slot matrix against the reduceat scoring it replaced ----------------------
+
+
+def reduceat_score(index, query_vec):
+    """``VectorIndex.score`` as it was before the slot matrix: a max per
+    concept run with ``np.maximum.reduceat``, then the first row of the run
+    that is not below it with ``np.minimum.reduceat``."""
+    ids = index.concept_ids
+    starts = np.array([i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]], dtype=np.intp)
+    concept_of_row = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ids)))
+    q = np.asarray(query_vec, dtype=np.float64)
+    norm = float(np.linalg.norm(q))
+    if norm < 1e-12 or len(index) == 0:
+        scores = np.zeros(len(index))
+    else:
+        scores = index.rows @ (q / norm)
+        np.clip(scores, -1.0, 1.0, out=scores)
+    best = np.maximum.reduceat(scores, starts)
+    below = scores < best[concept_of_row]
+    winners = np.minimum.reduceat(np.where(below, len(index), np.arange(len(index))), starts)
+    return scores[winners], winners
+
+
+# few directions, so labels and concepts tie; signed and unsigned zeros
+SLOT_ROWS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-1.0, 0.0), (2.0, 0.0),
+             (0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0))
+SLOT_QUERIES = SLOT_ROWS + ((1.0, -0.0), (math.nan, 0.0), (math.inf, 1.0), (-math.inf, math.inf))
+
+
+@st.composite
+def slot_indexes(draw):
+    """Label counts of up to 12 concepts, one of which may be far wider than
+    the rest (past the slot matrix's width cap), with rows from SLOT_ROWS."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(5, 40))
+    rows = [SLOT_ROWS[draw(st.integers(0, len(SLOT_ROWS) - 1))] for _ in range(sum(counts))]
+    ids = [f"c{c:02d}" for c, m in enumerate(counts) for _ in range(m)]
+    return VectorIndex(2, np.array(rows), ids, [f"l{i}" for i in range(len(ids))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_indexes(), st.lists(st.sampled_from(SLOT_QUERIES), min_size=1, max_size=4))
+def test_slot_scoring_is_byte_equal_to_reduceat(index, queries):
+    for query in queries:
+        with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
+            scores, winners = index.score(np.array(query))
+            expected_scores, expected_winners = reduceat_score(index, np.array(query))
+        assert scores.tobytes() == expected_scores.tobytes()
+        assert winners.tolist() == expected_winners.tolist()
+
+
+def test_slot_matrix_memory_is_bounded_by_the_rows():
+    """10,000 concepts of 3 labels plus one of 5,000: the wide concept spills
+    into extra columns instead of widening every column to 5,000."""
+    ids = [f"c{c:05d}" for c in range(10_000) for _ in range(3)] + ["c99999"] * 5_000
+    rows = np.zeros((len(ids), 1))
+    rows[-1] = 1.0  # the wide concept's last label is its best
+    index = VectorIndex(1, rows, ids, [f"l{i}" for i in range(len(ids))])
+    assert index._slots.size <= 3 * len(ids)
+    assert len(index._spill_owner) > 0
+    scores, winners = index.score(np.ones(1))
+    assert scores.tobytes() == reduceat_score(index, np.ones(1))[0].tobytes()
+    assert winners[-1] == len(ids) - 1 and winners[:-1].tolist() == list(range(0, 30_000, 3))
