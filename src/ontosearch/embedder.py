@@ -105,7 +105,8 @@ class SubwordEmbedder:
                 raise DimensionMismatch(
                     f"table shape {table.shape} != ({bucket_count}, {dim})"
                 )
-            if not np.isfinite(table).all():
+            # min and max carry any NaN or infinity, with no temporary the size of the table
+            if not np.isfinite([table.min(initial=0.0), table.max(initial=0.0)]).all():
                 raise ValueError("embedding table has non-finite entries")
         self.table = table
         # token -> its bucket ids; entries never change once written, so
@@ -149,7 +150,7 @@ class SubwordEmbedder:
             f"subword:{self.bucket_count}:{self.dim}:"
             f"{self.ngram_min}:{self.ngram_max}:{self.seed}:".encode()
         )
-        h.update(np.ascontiguousarray(self.table).tobytes())
+        h.update(np.ascontiguousarray(self.table))  # hashed in place: no copy of the table
         return h.hexdigest()
 
 

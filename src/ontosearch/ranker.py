@@ -8,9 +8,10 @@ text -- by different means:
 * ``Bm25Index``: Okapi BM25 where each concept's document is the token bag
   of all its labels, stop-words removed at index and query time.
 
-Both score a text into a dense per-concept array plus the row that gives
-each concept its score; one shared core (``_search``) takes the MAX over a
-concept's labels and breaks score ties by ascending concept id.
+Both score a text into one dense array over their rows (a vector row is
+one label of a concept, a BM25 row is a whole concept).  One shared core
+(``_search``) folds a query's texts row by row, takes each concept's MAX
+over its rows, and breaks score ties by ascending concept id.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .npzio import decoding, read_lines, save_arrays
 from .ontology import OntologyGraph
 
 _ZERO_NORM_EPS = 1e-12
+_NONE = np.intp(np.iinfo(np.intp).max)  # above every row and text position
 
 # Default English stop-word list (30 words), used when no file is supplied.
 DEFAULT_STOPWORDS = frozenset(
@@ -71,24 +73,48 @@ def hit_json_line(hit: RankedHit) -> str:
 def _search(index, texts: list[str], k: int, score) -> list[RankedHit]:
     """The ranking path of every search entry point.
 
-    ``score(text)`` gives each concept's score and the row (into
-    ``index.concept_ids``/``index.labels``, -1 for no hit) that gives it.
-    The MAX over ``texts`` is strict, so on a tie the earlier text wins.
+    ``score(text)`` gives the score of each row of ``index`` (a fresh
+    array, which the fold overwrites).  The index's ``concept_max`` turns
+    the folded row scores into one score per concept, ``hits`` picks the
+    concepts that may be returned, and ``winners`` names the row, and so
+    the label, behind each returned concept's score.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not texts:
         raise EmptyQueryConcept("query concept has no labels")
-    best, rows = score(texts[0])
-    for text in texts[1:]:
-        scores, winners = score(text)
-        better = scores > best
-        best = np.where(better, scores, best)
-        rows = np.where(better, winners, rows)
-    hits = np.flatnonzero(rows >= 0)
+    row_scores, first = _fold_rows(score, texts)
+    best = index.concept_max(row_scores)
+    hits = index.hits(best)
     top = hits[_top_k(best[hits], k)]
+    rows = index.winners(row_scores, first, best, top)
     return [RankedHit(index.concept_ids[row], index.labels[row], value, rank)
-            for rank, (row, value) in enumerate(zip(rows[top].tolist(), best[top].tolist()), 1)]
+            for rank, (row, value) in enumerate(zip(rows.tolist(), row_scores[rows].tolist()), 1)]
+
+
+def _fold_rows(score, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's MAX score over ``texts`` and the position of the first
+    text reaching it.
+
+    The MAX is strict, so a row keeps the bits of the earliest text
+    reaching its score (of +0.0 and -0.0, whichever came first), and a
+    NaN never replaces a score nor is replaced.  Memory is a few arrays
+    the size of the rows, however many texts there are.
+    """
+    best = score(texts[0])
+    first = np.zeros(len(best), dtype=np.min_scalar_type(len(texts) - 1))
+    bits = best.view(np.int64)
+    for position, text in enumerate(texts[1:], 1):
+        scores = score(text)
+        better = scores > best
+        # a select on the bits: exact, where ``np.maximum`` lets a NaN in
+        # and keeps either zero on a tie, and ``np.where`` costs 3x as much
+        diff = scores.view(np.int64)
+        diff ^= bits
+        diff *= better
+        bits ^= diff
+        np.maximum(first, better * first.dtype.type(position), out=first)
+    return best, first
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -105,10 +131,11 @@ def _concept_runs(ids: list[str]) -> np.ndarray:
     """Start row of each concept's run of rows.  Ties are broken by row
     position, so each concept's rows must form one run and the runs must
     ascend by concept id."""
-    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
-    if any(ids[a] >= ids[b] for a, b in zip(starts, starts[1:])):
+    ids = np.array(ids, dtype=object)  # compared as Python strings
+    starts = np.flatnonzero(np.concatenate(([len(ids) > 0], ids[1:] != ids[:-1])))
+    if not (ids[starts[:-1]] < ids[starts[1:]]).all():
         raise MalformedLine("index rows must be grouped per concept in ascending id order")
-    return np.asarray(starts, dtype=np.intp)
+    return starts
 
 
 # --- vector index --------------------------------------------------------------
@@ -141,42 +168,67 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self.concept_ids)
 
-    def score(self, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each concept's best cosine and its first row reaching it."""
+    def score(self, query_vec: np.ndarray) -> np.ndarray:
+        """Every row's cosine with the query: one matrix-vector product
+        over all rows, whose rounding the BLAS library decides; a
+        zero-norm query scores 0."""
         q = np.asarray(query_vec, dtype=np.float64)
         norm = float(np.linalg.norm(q))
-        n = len(self)
-        scores = np.empty(n + 1)
-        scores[n] = -np.inf  # the score of the empty slot
         if norm < _ZERO_NORM_EPS:
-            scores[:n] = 0.0
-        else:
-            np.matmul(self.rows, q / norm, out=scores[:n])
-            np.clip(scores[:n], -1.0, 1.0, out=scores[:n])
-        slot_scores = scores.take(self._slots)
-        best = slot_scores.max(axis=0)
+            return np.zeros(len(self))
+        scores = self.rows @ (q / norm)
+        return np.clip(scores, -1.0, 1.0, out=scores)
+
+    def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
+        """Each concept's MAX over its rows (NaN if any is NaN)."""
+        best = row_scores.take(self._slots).max(axis=0)
         owner = self._spill_owner
         concepts = len(best) - len(owner)
-        if len(owner):  # each spill column gets its owner's max over all its columns
+        if len(owner):  # fold each spill column into its owner
             with np.errstate(invalid="ignore"):  # a NaN max stays NaN
                 np.maximum.at(best, owner, best[concepts:])
-            best[concepts:] = best[owner]
-        # a slot below its column's max (NaN-safe) is pushed past every row,
-        # so the column's least slot is its first row reaching the max
-        winners = (slot_scores < best) * n
-        winners += self._slots
-        winners = winners.min(axis=0)
+        return best[:concepts]
+
+    def hits(self, best: np.ndarray) -> np.ndarray:
+        """Every concept has a score."""
+        return np.arange(len(best))
+
+    def winners(self, row_scores: np.ndarray, first: np.ndarray, best: np.ndarray,
+                concepts: np.ndarray) -> np.ndarray:
+        """The row behind each of ``concepts``' score ``best``: of the
+        earliest text reaching it (``first`` of each row, from
+        ``_fold_rows``), the first row reaching it.  Only the slot columns
+        of ``concepts`` are read."""
+        columns, group = concepts, np.arange(len(concepts))
+        owner = self._spill_owner
         if len(owner):
-            np.minimum.at(winners, owner, winners[concepts:])
-        winners = winners[:concepts]
-        return scores[winners], winners
+            spill = np.flatnonzero(np.isin(owner, concepts))
+            order = np.argsort(concepts)
+            columns = np.concatenate((concepts, len(best) + spill))
+            group = np.concatenate((group, order[np.searchsorted(concepts, owner[spill],
+                                                                 sorter=order)]))
+        slots = self._slots[:, columns]
+        labels = first[slots]
+        reached = ~(row_scores[slots] < best[concepts][group])  # NaN-safe ">="
+        earliest = _min_per_group(np.where(reached, labels, _NONE), group, len(concepts))
+        reached &= labels == earliest[group]
+        return _min_per_group(np.where(reached, slots, _NONE), group, len(concepts))
+
+
+def _min_per_group(values: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
+    """The least of ``values`` per column, folded per ``group``; the
+    first ``n`` columns are groups 0..n-1 in order."""
+    least = values.min(axis=0)
+    np.minimum.at(least, group[n:], least[n:])
+    return least[:n]
 
 
 def _slot_matrix(starts: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of each concept as one column of a slot-major matrix.
 
-    Slot j of column c holds the row of concept c's j-th label, or
-    ``n_rows`` (the empty slot) past its last label.  The width is capped
+    Slot j of column c holds the row of concept c's j-th label; past its
+    last label a slot repeats the concept's first row, which changes
+    neither its MAX nor the first row reaching it.  The width is capped
     at twice the mean label count, so the matrix holds fewer than 5 slots
     per row; a concept with more labels than that continues in extra
     columns after the first ``len(starts)``, whose owners are returned
@@ -190,9 +242,10 @@ def _slot_matrix(starts: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarra
     block = label // width
     column = np.where(block == 0, concept,
                       len(starts) + (np.cumsum(extra) - extra)[concept] + block - 1)
-    slots = np.full((width, len(starts) + extra.sum()), n_rows, dtype=np.intp)
+    owner = np.repeat(np.arange(len(starts)), extra)
+    slots = np.tile(starts[np.concatenate((np.arange(len(starts)), owner))], (width, 1))
     slots[label % width, column] = np.arange(n_rows)
-    return slots, np.repeat(np.arange(len(starts)), extra)
+    return slots, owner
 
 
 def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str]]:
@@ -307,6 +360,18 @@ class Bm25Index:
         self._pos = {cid: i for i, cid in enumerate(self.concept_ids)}
         self._fingerprint: str | None = None
 
+    def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
+        """Each row is a concept."""
+        return row_scores
+
+    def hits(self, best: np.ndarray) -> np.ndarray:
+        """A concept scoring 0 (no query term in its document) is no hit."""
+        return np.flatnonzero(best > 0.0)
+
+    def winners(self, row_scores, first, best, concepts: np.ndarray) -> np.ndarray:
+        """Each row is a concept, labelled with its preferred label."""
+        return concepts
+
     def idf(self, term: str) -> float:
         df = self.df.get(term, 0)
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
@@ -366,16 +431,14 @@ def bm25_score(index: Bm25Index, query_tokens: list[str], concept_id: str) -> fl
 
 
 class Bm25Scores(Mapping):
-    """One text's BM25 scores as the dense arrays of the ranker contract
-    (zero scores are no hit, row -1); read as a mapping, it holds
-    {concept_id: score} for the concepts scoring > 0."""
+    """One text's BM25 scores as the dense array of the ranker contract;
+    read as a mapping, it holds {concept_id: score} for the concepts
+    scoring > 0."""
 
     def __init__(self, index: Bm25Index, scores: np.ndarray):
         self.index = index
         self.scores = scores
-        self.hits = np.flatnonzero(scores > 0.0)
-        self.rows = np.full(len(scores), -1)
-        self.rows[self.hits] = self.hits
+        self.hits = index.hits(scores)
 
     def __len__(self) -> int:
         return len(self.hits)
@@ -385,7 +448,7 @@ class Bm25Scores(Mapping):
 
     def __getitem__(self, concept_id: str) -> float:
         pos = self.index._pos.get(concept_id)
-        if pos is None or self.rows[pos] < 0:
+        if pos is None or not self.scores[pos] > 0.0:
             raise KeyError(concept_id)
         return float(self.scores[pos])
 
@@ -402,12 +465,7 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[RankedHit]:
 
 def bm25_search_concept(index: Bm25Index, query_labels: list[str], k: int) -> list[RankedHit]:
     """MAX aggregation over per-label BM25 scores, mirroring search_concept."""
-
-    def score(text: str) -> tuple[np.ndarray, np.ndarray]:
-        scores = bm25_all_scores(index, text)
-        return scores.scores, scores.rows
-
-    return _search(index, query_labels, k, score)
+    return _search(index, query_labels, k, lambda text: bm25_all_scores(index, text).scores)
 
 
 # --- persistence ---------------------------------------------------------------

@@ -4,12 +4,15 @@
   set, so any change to scores, labels, order or tie-breaking shows.
 * A property test compares every entry point with a plain dict-and-sort
   reference ranker on small random ontologies full of ties.
-* ``VectorIndex.score`` is compared byte for byte with the per-run
-  ``reduceat`` scoring it replaced, and its slot matrix is sized.
+* The row fold of a concept query is compared byte for byte with the
+  per-label fold it replaced, and with it the slot matrix's concept MAX
+  and winners with the per-run ``reduceat`` scoring before it; the slot
+  matrix is sized, and a query's memory does not grow with its labels.
 """
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synthdata import synthetic_ontology
 
-from ontosearch.embedder import StaticWordVectors, SubwordEmbedder, tokenize
+from ontosearch.embedder import PrecomputedEncoder, StaticWordVectors, SubwordEmbedder, tokenize
 from ontosearch.errors import MalformedLine
 from ontosearch.ontology import Concept, OntologyGraph
 from ontosearch.ranker import (
     RankedHit,
     VectorIndex,
+    _top_k,
     build_bm25_index,
     build_vector_index,
     bm25_all_scores,
@@ -271,15 +275,31 @@ def slot_indexes(draw):
     return VectorIndex(2, np.array(rows), ids, [f"l{i}" for i in range(len(ids))])
 
 
+def slot_scoring(index, query_vec, concepts=None):
+    """Per-concept (score, winning row) of one query through the row
+    contract: ``score``, ``concept_max``, then ``winners`` of ``concepts``
+    (all, by default) with every row reached by the only text."""
+    rows = index.score(query_vec)
+    best = index.concept_max(rows)
+    concepts = np.arange(len(best)) if concepts is None else concepts
+    winners = index.winners(rows, np.zeros(len(rows), dtype=np.intp), best, concepts)
+    return best, rows[winners], winners
+
+
 @settings(max_examples=300, deadline=None)
 @given(slot_indexes(), st.lists(st.sampled_from(SLOT_QUERIES), min_size=1, max_size=4))
 def test_slot_scoring_is_byte_equal_to_reduceat(index, queries):
     for query in queries:
         with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
-            scores, winners = index.score(np.array(query))
+            best, scores, winners = slot_scoring(index, np.array(query))
             expected_scores, expected_winners = reduceat_score(index, np.array(query))
+            # hits in any order, here descending, each resolved from its own columns
+            backwards = np.arange(len(best))[::-1]
+            _, _, some = slot_scoring(index, np.array(query), backwards)
+        assert np.array_equal(best, expected_scores, equal_nan=True)
         assert scores.tobytes() == expected_scores.tobytes()
         assert winners.tolist() == expected_winners.tolist()
+        assert some.tolist() == expected_winners[backwards].tolist()
 
 
 def test_slot_matrix_memory_is_bounded_by_the_rows():
@@ -291,6 +311,94 @@ def test_slot_matrix_memory_is_bounded_by_the_rows():
     index = VectorIndex(1, rows, ids, [f"l{i}" for i in range(len(ids))])
     assert index._slots.size <= 3 * len(ids)
     assert len(index._spill_owner) > 0
-    scores, winners = index.score(np.ones(1))
+    _, scores, winners = slot_scoring(index, np.ones(1))
     assert scores.tobytes() == reduceat_score(index, np.ones(1))[0].tobytes()
     assert winners[-1] == len(ids) - 1 and winners[:-1].tolist() == list(range(0, 30_000, 3))
+
+
+def test_row_scores_are_one_product_over_all_rows():
+    """Scores are byte-equal to one ``rows @ q`` over the whole matrix:
+    BLAS rounds a row by where it falls in its kernel's blocks, so a
+    per-row, batched or chunked product moves the last bit of some rows
+    (with OpenBLAS, a chunk boundary at a multiple of 4 rows does not)."""
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((1001, 64))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    index = VectorIndex(64, rows, [f"c{i:04d}" for i in range(1001)], ["x"] * 1001)
+    q = SubwordEmbedder(bucket_count=512, dim=64, seed=3).embed("pain in the lower back")
+    expected = np.clip(index.rows @ (q / np.linalg.norm(q)), -1.0, 1.0)
+    assert index.score(q).tobytes() == expected.tobytes()
+
+
+# --- the row fold against the per-label fold it replaced ----------------------------
+
+
+def per_label_search(index, texts, k, score):
+    """``_search`` as it was before the row fold: ``score(text)`` gives
+    each concept's score and the row behind it (-1 for no hit), and a
+    strict MAX folds them label by label."""
+    best, rows = score(texts[0])
+    for text in texts[1:]:
+        scores, winners = score(text)
+        better = scores > best
+        best = np.where(better, scores, best)
+        rows = np.where(better, winners, rows)
+    hits = np.flatnonzero(rows >= 0)
+    top = hits[_top_k(best[hits], k)]
+    return [hit_json_line(RankedHit(index.concept_ids[row], index.labels[row], value, rank))
+            for rank, (row, value) in enumerate(zip(rows[top].tolist(), best[top].tolist()), 1)]
+
+
+def per_label_bm25(index, text):
+    scores = index.score_tokens(tokenize(text))
+    return scores, np.where(scores > 0.0, np.arange(len(scores)), -1)
+
+
+# text i embeds to SLOT_QUERIES[i]: zero, NaN and infinite queries included
+QUERY_TABLE = PrecomputedEncoder({str(i): np.array(q) for i, q in enumerate(SLOT_QUERIES)}, 2)
+
+
+def _with_repeats(data, texts):
+    return texts + data.draw(st.lists(st.sampled_from(texts), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_indexes(), ontologies(), st.data())
+def test_concept_search_equals_the_per_label_fold(index, onto, data):
+    """Repeated labels, ±0 and zero rows, concepts past the slot cap, and
+    k from 1 to past the number of concepts."""
+    texts = _with_repeats(data, data.draw(st.lists(
+        st.sampled_from(sorted(QUERY_TABLE.table)), min_size=1, max_size=5)))
+    k = data.draw(st.integers(1, len(set(index.concept_ids)) + 1))
+    with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
+        got = as_lines(search_concept(index, texts, k, QUERY_TABLE))
+        expected = per_label_search(
+            index, texts, k, lambda text: reduceat_score(index, QUERY_TABLE.embed(text)))
+    assert got == expected
+
+    bm25 = build_bm25_index(onto[0])
+    texts = _with_repeats(data, data.draw(st.lists(query_text, min_size=1, max_size=5)))
+    k = data.draw(st.integers(1, len(bm25.concept_ids) + 1))
+    assert as_lines(bm25_search_concept(bm25, texts, k)) == per_label_search(
+        bm25, texts, k, lambda text: per_label_bm25(bm25, text))
+
+
+def test_query_memory_does_not_grow_with_its_labels():
+    """The fold keeps a few arrays the size of the rows, never one per
+    label: a 400-label query peaks within 2x of a 1-label query."""
+    ids = [f"c{c:05d}" for c in range(10_000) for _ in range(2)]
+    rows = np.random.default_rng(4).standard_normal((len(ids), 4))
+    index = VectorIndex(4, rows / np.linalg.norm(rows, axis=1, keepdims=True), ids, ["x"] * len(ids))
+    encoder = StaticWordVectors({"x": np.array([1.0, 2.0, 0.0, 1.0]),
+                                 "y": np.array([0.0, -1.0, 3.0, 1.0])}, dim=4)
+
+    def peak(labels):
+        tracemalloc.start()
+        try:
+            search_concept(index, labels, 10, encoder)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(["x"])
+    assert peak(["x", "y", "x y", "y y x"] * 100) <= 2 * one
