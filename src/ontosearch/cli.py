@@ -26,6 +26,8 @@ from .embedder import (
 from .errors import FileNotFound, IoError, OntoSearchError, UsageError
 from .ontology import load_ontology
 from .ranker import (
+    BM25_B,
+    BM25_K1,
     DEFAULT_STOPWORDS,
     build_bm25_index,
     build_vector_index,
@@ -115,8 +117,8 @@ def build_parser(config: PipelineConfig | None = None) -> argparse.ArgumentParse
     enc.add_argument("--precomputed", help="precomputed embedding TSV")
     a.add("--bm25", action="store_true", help="also build a BM25 index")
     a.add("--stopwords", help="stop-word file (default: built-in list)")
-    a.add("--k1", type=float, default=1.2)
-    a.add("--b", type=float, default=0.75)
+    a.add("--k1", type=float, default=BM25_K1)
+    a.add("--b", type=float, default=BM25_B)
     a.add("--out", required=True, help="index directory")
 
     a = command("query", "one-shot text search")

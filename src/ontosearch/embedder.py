@@ -39,6 +39,12 @@ _ZERO_NORM_EPS = 1e-12
 TOKEN_MEMO_CAP = 1 << 16
 
 
+def all_finite(array: np.ndarray) -> bool:
+    """No NaN or infinity in ``array``: its min and max carry any, with no
+    temporary the size of the array."""
+    return bool(np.isfinite([array.min(initial=0.0), array.max(initial=0.0)]).all())
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character.
 
@@ -105,8 +111,7 @@ class SubwordEmbedder:
                 raise DimensionMismatch(
                     f"table shape {table.shape} != ({bucket_count}, {dim})"
                 )
-            # min and max carry any NaN or infinity, with no temporary the size of the table
-            if not np.isfinite([table.min(initial=0.0), table.max(initial=0.0)]).all():
+            if not all_finite(table):
                 raise ValueError("embedding table has non-finite entries")
         self.table = table
         # token -> its bucket ids; entries never change once written, so
@@ -326,7 +331,7 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
 
 def _row_table(path: str | Path, keys: np.ndarray, matrix: np.ndarray) -> dict[str, np.ndarray]:
     """``{key: its row of matrix}``; a matrix holding NaN or ±inf is refused."""
-    if not np.isfinite(matrix).all():
+    if not all_finite(matrix):
         raise MalformedLine(f"{path}: matrix holds NaN or infinite values")
     return {str(key): row.copy() for key, row in zip(keys, matrix, strict=True)}
 

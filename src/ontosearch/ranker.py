@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedder import Encoder, tokenize
+from .embedder import Encoder, all_finite, tokenize
 from .errors import (
     EmptyQueryConcept,
     MalformedLine,
@@ -39,6 +39,7 @@ from .ontology import OntologyGraph
 
 _ZERO_NORM_EPS = 1e-12
 _NONE = np.intp(np.iinfo(np.intp).max)  # above every row and text position
+BM25_K1, BM25_B = 1.2, 0.75  # default BM25 term saturation and length normalisation
 
 # Default English stop-word list (30 words), used when no file is supplied.
 DEFAULT_STOPWORDS = frozenset(
@@ -155,15 +156,16 @@ class VectorIndex:
         rows = np.asarray(rows, dtype=np.float64).reshape(len(concept_ids), dim)
         if len(concept_ids) != len(labels):
             raise ValueError("row metadata lengths differ")
-        # min and max carry any NaN or infinity, with no temporary the size of rows
-        if not np.isfinite([rows.min(initial=0.0), rows.max(initial=0.0)]).all():
+        if not all_finite(rows):
             raise MalformedLine("vector index rows hold NaN or infinite values")
         self.dim = dim
         self.rows = rows
         self.concept_ids = list(concept_ids)
         self.labels = list(labels)
         self.encoder_fingerprint = encoder_fingerprint
-        self._slots, self._spill_owner = _slot_matrix(_concept_runs(self.concept_ids), len(rows))
+        # concept c owns rows _bounds[c]:_bounds[c + 1]
+        self._bounds = np.append(_concept_runs(self.concept_ids), len(rows))
+        self._concept_of_row = np.repeat(np.arange(len(self._bounds) - 1), np.diff(self._bounds))
 
     def __len__(self) -> int:
         return len(self.concept_ids)
@@ -181,13 +183,10 @@ class VectorIndex:
 
     def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
         """Each concept's MAX over its rows (NaN if any is NaN)."""
-        best = row_scores.take(self._slots).max(axis=0)
-        owner = self._spill_owner
-        concepts = len(best) - len(owner)
-        if len(owner):  # fold each spill column into its owner
-            with np.errstate(invalid="ignore"):  # a NaN max stays NaN
-                np.maximum.at(best, owner, best[concepts:])
-        return best[:concepts]
+        best = np.full(len(self._bounds) - 1, -np.inf)
+        with np.errstate(invalid="ignore"):  # a NaN row makes its concept NaN
+            np.maximum.at(best, self._concept_of_row, row_scores)
+        return best
 
     def hits(self, best: np.ndarray) -> np.ndarray:
         """Every concept has a score."""
@@ -197,55 +196,19 @@ class VectorIndex:
                 concepts: np.ndarray) -> np.ndarray:
         """The row behind each of ``concepts``' score ``best``: of the
         earliest text reaching it (``first`` of each row, from
-        ``_fold_rows``), the first row reaching it.  Only the slot columns
-        of ``concepts`` are read."""
-        columns, group = concepts, np.arange(len(concepts))
-        owner = self._spill_owner
-        if len(owner):
-            spill = np.flatnonzero(np.isin(owner, concepts))
-            order = np.argsort(concepts)
-            columns = np.concatenate((concepts, len(best) + spill))
-            group = np.concatenate((group, order[np.searchsorted(concepts, owner[spill],
-                                                                 sorter=order)]))
-        slots = self._slots[:, columns]
-        labels = first[slots]
-        reached = ~(row_scores[slots] < best[concepts][group])  # NaN-safe ">="
-        earliest = _min_per_group(np.where(reached, labels, _NONE), group, len(concepts))
-        reached &= labels == earliest[group]
-        return _min_per_group(np.where(reached, slots, _NONE), group, len(concepts))
-
-
-def _min_per_group(values: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
-    """The least of ``values`` per column, folded per ``group``; the
-    first ``n`` columns are groups 0..n-1 in order."""
-    least = values.min(axis=0)
-    np.minimum.at(least, group[n:], least[n:])
-    return least[:n]
-
-
-def _slot_matrix(starts: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of each concept as one column of a slot-major matrix.
-
-    Slot j of column c holds the row of concept c's j-th label; past its
-    last label a slot repeats the concept's first row, which changes
-    neither its MAX nor the first row reaching it.  The width is capped
-    at twice the mean label count, so the matrix holds fewer than 5 slots
-    per row; a concept with more labels than that continues in extra
-    columns after the first ``len(starts)``, whose owners are returned
-    alongside.
-    """
-    counts = np.diff(starts, append=n_rows)
-    width = max(1, min(counts.max(initial=0), 2 * math.ceil(n_rows / max(len(starts), 1))))
-    concept = np.repeat(np.arange(len(starts)), counts)
-    label = np.arange(n_rows) - starts[concept]
-    extra = (counts - 1) // width  # columns past the first, per concept
-    block = label // width
-    column = np.where(block == 0, concept,
-                      len(starts) + (np.cumsum(extra) - extra)[concept] + block - 1)
-    owner = np.repeat(np.arange(len(starts)), extra)
-    slots = np.tile(starts[np.concatenate((np.arange(len(starts)), owner))], (width, 1))
-    slots[label % width, column] = np.arange(n_rows)
-    return slots, owner
+        ``_fold_rows``), the first row reaching it.  Only the row runs of
+        ``concepts`` are read."""
+        if not len(concepts):
+            return concepts
+        lo = self._bounds[concepts]
+        counts = self._bounds[concepts + 1] - lo
+        starts = np.cumsum(counts) - counts  # of each run in the flat rows
+        rows = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+        labels = first[rows]
+        reached = ~(row_scores[rows] < np.repeat(best[concepts], counts))  # NaN-safe ">="
+        earliest = np.minimum.reduceat(np.where(reached, labels, _NONE), starts)
+        reached &= labels == np.repeat(earliest, counts)
+        return np.minimum.reduceat(np.where(reached, rows, _NONE), starts)
 
 
 def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str]]:
@@ -329,8 +292,8 @@ class Bm25Index:
         graph: OntologyGraph,
         term_freqs: list[dict[str, int]],
         stopwords: frozenset[str],
-        k1: float = 1.2,
-        b: float = 0.75,
+        k1: float,
+        b: float,
     ):
         self.concept_ids = graph.sorted_ids()
         self.term_freqs = term_freqs
@@ -407,8 +370,8 @@ class Bm25Index:
 def build_bm25_index(
     graph: OntologyGraph,
     stopwords_path: str | Path | None = None,
-    k1: float = 1.2,
-    b: float = 0.75,
+    k1: float = BM25_K1,
+    b: float = BM25_B,
 ) -> Bm25Index:
     """Index every concept as the stop-word-filtered token bag of all its
     labels concatenated."""

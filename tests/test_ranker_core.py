@@ -5,9 +5,10 @@
 * A property test compares every entry point with a plain dict-and-sort
   reference ranker on small random ontologies full of ties.
 * The row fold of a concept query is compared byte for byte with the
-  per-label fold it replaced, and with it the slot matrix's concept MAX
-  and winners with the per-run ``reduceat`` scoring before it; the slot
-  matrix is sized, and a query's memory does not grow with its labels.
+  per-label fold it replaced, and the vector index's concept MAX and
+  winners with the per-run ``reduceat`` scoring kept as their reference;
+  the memory the index keeps is bounded per row, and a query's memory
+  does not grow with its labels.
 """
 
 import hashlib
@@ -234,13 +235,13 @@ def test_vector_rows_that_are_not_finite_are_rejected(bad):
         VectorIndex(2, rows, ["a", "a", "b"], ["x", "y", "z"])
 
 
-# --- the slot matrix against the reduceat scoring it replaced ----------------------
+# --- concept MAX and winners against the reduceat reference ------------------------
 
 
 def reduceat_score(index, query_vec):
-    """``VectorIndex.score`` as it was before the slot matrix: a max per
-    concept run with ``np.maximum.reduceat``, then the first row of the run
-    that is not below it with ``np.minimum.reduceat``."""
+    """The reference per-concept scoring: a max per concept run with
+    ``np.maximum.reduceat``, then the first row of the run that is not
+    below it with ``np.minimum.reduceat``."""
     ids = index.concept_ids
     starts = np.array([i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]], dtype=np.intp)
     concept_of_row = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ids)))
@@ -258,24 +259,24 @@ def reduceat_score(index, query_vec):
 
 
 # few directions, so labels and concepts tie; signed and unsigned zeros
-SLOT_ROWS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-1.0, 0.0), (2.0, 0.0),
-             (0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0))
-SLOT_QUERIES = SLOT_ROWS + ((1.0, -0.0), (math.nan, 0.0), (math.inf, 1.0), (-math.inf, math.inf))
+TIE_ROWS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-1.0, 0.0), (2.0, 0.0),
+            (0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0))
+TIE_QUERIES = TIE_ROWS + ((1.0, -0.0), (math.nan, 0.0), (math.inf, 1.0), (-math.inf, math.inf))
 
 
 @st.composite
-def slot_indexes(draw):
+def run_indexes(draw):
     """Label counts of up to 12 concepts, one of which may be far wider than
-    the rest (past the slot matrix's width cap), with rows from SLOT_ROWS."""
+    the rest, with rows from TIE_ROWS."""
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
     if draw(st.booleans()):
         counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(5, 40))
-    rows = [SLOT_ROWS[draw(st.integers(0, len(SLOT_ROWS) - 1))] for _ in range(sum(counts))]
+    rows = [TIE_ROWS[draw(st.integers(0, len(TIE_ROWS) - 1))] for _ in range(sum(counts))]
     ids = [f"c{c:02d}" for c, m in enumerate(counts) for _ in range(m)]
     return VectorIndex(2, np.array(rows), ids, [f"l{i}" for i in range(len(ids))])
 
 
-def slot_scoring(index, query_vec, concepts=None):
+def contract_scoring(index, query_vec, concepts=None):
     """Per-concept (score, winning row) of one query through the row
     contract: ``score``, ``concept_max``, then ``winners`` of ``concepts``
     (all, by default) with every row reached by the only text."""
@@ -287,32 +288,40 @@ def slot_scoring(index, query_vec, concepts=None):
 
 
 @settings(max_examples=300, deadline=None)
-@given(slot_indexes(), st.lists(st.sampled_from(SLOT_QUERIES), min_size=1, max_size=4))
-def test_slot_scoring_is_byte_equal_to_reduceat(index, queries):
+@given(run_indexes(), st.lists(st.sampled_from(TIE_QUERIES), min_size=1, max_size=4))
+def test_concept_max_and_winners_equal_reduceat(index, queries):
     for query in queries:
         with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
-            best, scores, winners = slot_scoring(index, np.array(query))
+            best, scores, winners = contract_scoring(index, np.array(query))
             expected_scores, expected_winners = reduceat_score(index, np.array(query))
-            # hits in any order, here descending, each resolved from its own columns
+            # hits in any order, here descending, each resolved from its own run
             backwards = np.arange(len(best))[::-1]
-            _, _, some = slot_scoring(index, np.array(query), backwards)
+            _, _, some = contract_scoring(index, np.array(query), backwards)
         assert np.array_equal(best, expected_scores, equal_nan=True)
         assert scores.tobytes() == expected_scores.tobytes()
         assert winners.tolist() == expected_winners.tolist()
         assert some.tolist() == expected_winners[backwards].tolist()
 
 
-def test_slot_matrix_memory_is_bounded_by_the_rows():
-    """10,000 concepts of 3 labels plus one of 5,000: the wide concept spills
-    into extra columns instead of widening every column to 5,000."""
+def test_wide_concept_equals_reduceat_and_keeps_little_memory_per_row():
+    """10,000 concepts of 3 labels plus one of 5,000: the index keeps a
+    concept id per row and a bound per concept, never a layout padded to
+    the widest concept (about 11 KB per row here)."""
     ids = [f"c{c:05d}" for c in range(10_000) for _ in range(3)] + ["c99999"] * 5_000
     rows = np.zeros((len(ids), 1))
     rows[-1] = 1.0  # the wide concept's last label is its best
-    index = VectorIndex(1, rows, ids, [f"l{i}" for i in range(len(ids))])
-    assert index._slots.size <= 3 * len(ids)
-    assert len(index._spill_owner) > 0
-    _, scores, winners = slot_scoring(index, np.ones(1))
-    assert scores.tobytes() == reduceat_score(index, np.ones(1))[0].tobytes()
+    labels = [f"l{i}" for i in range(len(ids))]
+    tracemalloc.start()
+    try:
+        index = VectorIndex(1, rows, ids, labels)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 32 * len(ids)
+    best, scores, winners = contract_scoring(index, np.ones(1))
+    expected_scores, expected_winners = reduceat_score(index, np.ones(1))
+    assert best.tobytes() == scores.tobytes() == expected_scores.tobytes()
+    assert winners.tolist() == expected_winners.tolist()
     assert winners[-1] == len(ids) - 1 and winners[:-1].tolist() == list(range(0, 30_000, 3))
 
 
@@ -354,8 +363,8 @@ def per_label_bm25(index, text):
     return scores, np.where(scores > 0.0, np.arange(len(scores)), -1)
 
 
-# text i embeds to SLOT_QUERIES[i]: zero, NaN and infinite queries included
-QUERY_TABLE = PrecomputedEncoder({str(i): np.array(q) for i, q in enumerate(SLOT_QUERIES)}, 2)
+# text i embeds to TIE_QUERIES[i]: zero, NaN and infinite queries included
+QUERY_TABLE = PrecomputedEncoder({str(i): np.array(q) for i, q in enumerate(TIE_QUERIES)}, 2)
 
 
 def _with_repeats(data, texts):
@@ -363,10 +372,10 @@ def _with_repeats(data, texts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(slot_indexes(), ontologies(), st.data())
+@given(run_indexes(), ontologies(), st.data())
 def test_concept_search_equals_the_per_label_fold(index, onto, data):
-    """Repeated labels, ±0 and zero rows, concepts past the slot cap, and
-    k from 1 to past the number of concepts."""
+    """Repeated labels, ±0 and zero rows, one concept far wider than the
+    rest, and k from 1 to past the number of concepts."""
     texts = _with_repeats(data, data.draw(st.lists(
         st.sampled_from(sorted(QUERY_TABLE.table)), min_size=1, max_size=5)))
     k = data.draw(st.integers(1, len(set(index.concept_ids)) + 1))
