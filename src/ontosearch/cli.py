@@ -210,18 +210,15 @@ def _cmd_triplets(args) -> int:
 def _cmd_train(args) -> int:
     train_set = read_triplets(args.triplets)
     dev_set = read_triplets(args.dev) if args.dev else None
-    try:
-        cfg = TrainConfig(
-            margin=args.margin,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            learning_rate=args.lr,
-            warmup_fraction=args.warmup,
-            seed=args.seed,
-        )
-        model = SubwordEmbedder(bucket_count=args.buckets, dim=args.dim, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(f"bad train flag: {exc}") from None
+    cfg = TrainConfig(
+        margin=args.margin,
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        warmup_fraction=args.warmup,
+        seed=args.seed,
+    )
+    model = SubwordEmbedder(bucket_count=args.buckets, dim=args.dim, seed=args.seed)
     model, history = train(model, train_set, dev_set, cfg)
     save_encoder(model, args.out)
     summary = {
@@ -265,8 +262,6 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     bundle = store.load_bundle(args.index)
     for hit in store.query_hits(bundle, args.q, args.k, args.ranker):
         print(hit_json_line(hit))
@@ -274,8 +269,6 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     bundle = store.load_bundle(args.index)
     source = load_ontology(args.source_concepts, args.source_labels, None)
     for cid in source.sorted_ids():
@@ -295,8 +288,6 @@ def _cmd_eval(args) -> int:
         k_list = sorted({int(x) for x in args.k.split(",")})
     except ValueError:
         raise UsageError(f"bad --k value {args.k!r}") from None
-    if k_list[0] < 1:
-        raise UsageError(f"bad --k value {args.k!r}: every K must be >= 1")
     bundle = store.load_bundle(args.index)
     queries = evaluation.read_queries(args.queries, mode=args.mode)
 

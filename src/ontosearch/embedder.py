@@ -26,6 +26,7 @@ from .errors import (
     InconsistentDimension,
     MalformedLine,
     MissingEmbedding,
+    UsageError,
 )
 from .npzio import decoding, read_lines, save_arrays
 from .rng import fnv1a64, uniform_array
@@ -91,11 +92,11 @@ class SubwordEmbedder:
         table: np.ndarray | None = None,
     ):
         if bucket_count < 1:
-            raise ValueError("bucket_count must be >= 1")
+            raise UsageError("bucket_count must be >= 1")
         if dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise UsageError("dim must be >= 1")
         if ngram_min < 1 or ngram_max < ngram_min:
-            raise ValueError("require 1 <= ngram_min <= ngram_max")
+            raise UsageError("require 1 <= ngram_min <= ngram_max")
         self.bucket_count = bucket_count
         self.dim = dim
         self.ngram_min = ngram_min
@@ -108,11 +109,9 @@ class SubwordEmbedder:
         else:
             table = np.asarray(table, dtype=np.float64)
             if table.shape != (bucket_count, dim):
-                raise DimensionMismatch(
-                    f"table shape {table.shape} != ({bucket_count}, {dim})"
-                )
+                raise UsageError(f"table shape {table.shape} != ({bucket_count}, {dim})")
             if not all_finite(table):
-                raise ValueError("embedding table has non-finite entries")
+                raise UsageError("embedding table has non-finite entries")
         self.table = table
         # token -> its bucket ids; entries never change once written, so
         # concurrent readers need no lock
@@ -329,8 +328,12 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
         raise TypeError(f"unknown encoder type {type(encoder)!r}")
 
 
-def _row_table(path: str | Path, keys: np.ndarray, matrix: np.ndarray) -> dict[str, np.ndarray]:
-    """``{key: its row of matrix}``; a matrix holding NaN or ±inf is refused."""
+def _row_table(path: str | Path, keys: np.ndarray, matrix: np.ndarray,
+               dim: int) -> dict[str, np.ndarray]:
+    """``{key: its row of matrix}``; a matrix whose rows are not ``dim``
+    wide, or that holds NaN or ±inf, is refused."""
+    if matrix.shape[1:] != (dim,):
+        raise MalformedLine(f"{path}: matrix of shape {matrix.shape}, expected rows {dim} wide")
     if not all_finite(matrix):
         raise MalformedLine(f"{path}: matrix holds NaN or infinite values")
     return {str(key): row.copy() for key, row in zip(keys, matrix, strict=True)}
@@ -354,10 +357,10 @@ def load_encoder(path: str | Path) -> Encoder:
             )
         if kind == "wordvec":
             return StaticWordVectors(
-                _row_table(path, data["tokens"], data["matrix"]),
+                _row_table(path, data["tokens"], data["matrix"], dim),
                 dim,
                 duplicates=int(data["duplicates"]),
             )
         if kind == "precomputed":
-            return PrecomputedEncoder(_row_table(path, data["texts"], data["matrix"]), dim)
+            return PrecomputedEncoder(_row_table(path, data["texts"], data["matrix"], dim), dim)
     raise MalformedLine(f"{path}: unknown encoder kind {kind!r}")

@@ -20,27 +20,23 @@ class OntoSearchError(Exception):
 
 # --- ontology ---------------------------------------------------------------
 
-class OntologyError(OntoSearchError):
-    code = "ontology.Error"
-
-
-class DuplicateConceptId(OntologyError):
+class DuplicateConceptId(OntoSearchError):
     code = "ontology.DuplicateConceptId"
 
 
-class DuplicateLabel(OntologyError):
+class DuplicateLabel(OntoSearchError):
     code = "ontology.DuplicateLabel"
 
 
-class UnknownConceptId(OntologyError):
+class UnknownConceptId(OntoSearchError):
     code = "ontology.UnknownConceptId"
 
 
-class UnknownParentId(OntologyError):
+class UnknownParentId(OntoSearchError):
     code = "ontology.UnknownParentId"
 
 
-class CycleDetected(OntologyError):
+class CycleDetected(OntoSearchError):
     code = "ontology.CycleDetected"
 
     def __init__(self, message: str, cycle: list[str] | None = None):
@@ -48,7 +44,7 @@ class CycleDetected(OntologyError):
         self.cycle = cycle or []
 
 
-class EmptyLabel(OntologyError):
+class EmptyLabel(OntoSearchError):
     code = "ontology.EmptyLabel"
 
 
@@ -73,61 +69,52 @@ class MalformedLine(OntoSearchError):
 
 # --- embedder ---------------------------------------------------------------
 
-class EmbedderError(OntoSearchError):
-    code = "embedder.Error"
-
-
-class DimensionMismatch(EmbedderError):
+class DimensionMismatch(OntoSearchError):
     code = "embedder.DimensionMismatch"
 
 
-class MissingEmbedding(EmbedderError):
+class MissingEmbedding(OntoSearchError):
     code = "embedder.MissingEmbedding"
 
 
-class InconsistentDimension(EmbedderError):
+class InconsistentDimension(OntoSearchError):
     code = "embedder.InconsistentDimension"
 
 
-class EmptyDataset(EmbedderError):
+class EmptyDataset(OntoSearchError):
     code = "embedder.EmptyDataset"
 
 
 # --- ranker -----------------------------------------------------------------
 
-class RankerError(OntoSearchError):
-    code = "ranker.Error"
-
-
-class EmptyQueryConcept(RankerError):
+class EmptyQueryConcept(OntoSearchError):
     code = "ranker.EmptyQueryConcept"
 
 
-class MalformedStopwordFile(RankerError):
+class MalformedStopwordFile(OntoSearchError):
     code = "ranker.MalformedStopwordFile"
 
 
 # --- eval -------------------------------------------------------------------
 
-class EvalError(OntoSearchError):
-    code = "eval.Error"
-
-
-class EmptyQueryAfterStopwords(EvalError):
+class EmptyQueryAfterStopwords(OntoSearchError):
     code = "eval.EmptyQueryAfterStopwords"
 
 
-class LengthMismatch(EvalError):
+class LengthMismatch(OntoSearchError):
     code = "eval.LengthMismatch"
 
 
-class TooFewPairs(EvalError):
+class TooFewPairs(OntoSearchError):
     code = "eval.TooFewPairs"
 
 
 # --- app --------------------------------------------------------------------
 
-class UsageError(OntoSearchError):
+class UsageError(OntoSearchError, ValueError):
+    """A bad flag, option, parameter or config value, raised where it is
+    found; also a ``ValueError``, for library callers."""
+
     code = "app.UsageError"
 
 

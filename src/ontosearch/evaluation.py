@@ -21,6 +21,7 @@ from .errors import (
     LengthMismatch,
     MalformedLine,
     TooFewPairs,
+    UsageError,
 )
 from .npzio import read_lines
 from .ontology import Concept, OntologyGraph, gain_of_relation, relation_between
@@ -64,7 +65,7 @@ def rank_of_first_relevant(
 def hits_at_k(results: Sequence[RankedHit], relevant_ids: Iterable[str], k: int) -> int:
     """1 iff any relevant concept appears at rank <= k."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     rank = rank_of_first_relevant(results, relevant_ids)
     return 1 if rank is not None and rank <= k else 0
 
@@ -88,7 +89,7 @@ def ndcg_at_k(
     defined as 0.0.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     truths = [truth_ids] if isinstance(truth_ids, str) else list(truth_ids)
     gains = [
         max(gain_of_relation(relation_between(graph, hit.concept_id, t)) for t in truths)
@@ -316,6 +317,8 @@ def evaluate_run(
     overlap instead of failing the run.
     """
     k_list = sorted(set(k_list))
+    if not k_list or k_list[0] < 1:
+        raise UsageError(f"every k must be >= 1, got {k_list}")
     k_max = max(k_list)
     rows: list[PerQueryResult] = []
     for query in queries:

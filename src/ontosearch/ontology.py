@@ -251,7 +251,7 @@ def load_ontology(
         if not preferred:
             raise EmptyLabel(f"{concepts_path}:{lineno}: empty preferred label")
         if cid in labels:
-            raise DuplicateConceptId(f"duplicate concept id {cid!r}")
+            raise DuplicateConceptId(f"{concepts_path}:{lineno}: duplicate concept id {cid!r}")
         labels[cid] = [preferred]
         order.append(cid)
 

@@ -33,6 +33,7 @@ from .errors import (
     MalformedLine,
     MalformedStopwordFile,
     UnknownConceptId,
+    UsageError,
 )
 from .npzio import decoding, read_lines, save_arrays
 from .ontology import OntologyGraph
@@ -81,7 +82,7 @@ def _search(index, texts: list[str], k: int, score) -> list[RankedHit]:
     the label, behind each returned concept's score.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     if not texts:
         raise EmptyQueryConcept("query concept has no labels")
     row_scores, first = _fold_rows(score, texts)
@@ -295,6 +296,10 @@ class Bm25Index:
         k1: float,
         b: float,
     ):
+        if not 0.0 <= k1 < math.inf:
+            raise UsageError(f"k1 must be finite and >= 0, got {k1}")
+        if not 0.0 <= b <= 1.0:
+            raise UsageError(f"b must lie in [0, 1], got {b}")
         self.concept_ids = graph.sorted_ids()
         self.term_freqs = term_freqs
         # one row per concept, labelled with its preferred label

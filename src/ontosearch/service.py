@@ -89,12 +89,9 @@ _STATUS = {NotFound: 404, UnknownConceptId: 404, RequestTimeout: 408,
 def _query_k(params: dict) -> int:
     raw = params.get("k", ["10"])[0]
     try:
-        k = int(raw)
+        return int(raw)
     except ValueError:
         raise UsageError(f"k must be an integer, got {raw!r}") from None
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    return k
 
 
 def _body_length(headers) -> int:
@@ -190,8 +187,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise UsageError("body must carry labels: [str, ...]")
         k = body.get("k", 10)
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise UsageError("k must be an integer >= 1")
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise UsageError(f"k must be an integer, got {k!r}")
         ranker = body.get("ranker", "vector")
         return 200, self.service.match_array(labels, k, ranker)
 

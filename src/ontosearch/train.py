@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedder import SubwordEmbedder
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DimensionMismatch, EmptyDataset, UsageError
 from .rng import SplitMix64
 from .triplets import TripletDataset
 
@@ -50,14 +50,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not 0.0 < self.margin < math.inf:
+            raise UsageError("margin must be positive and finite")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise UsageError("learning_rate must be finite and >= 0")
         if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must lie in [0, 1]")
+            raise UsageError("warmup_fraction must lie in [0, 1]")
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+            raise UsageError("epochs must be non-negative")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise UsageError("batch_size must be >= 1")
 
 
 @dataclass

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MalformedLine
+from .errors import MalformedLine, UsageError
 from .npzio import read_lines
 from .ontology import OntologyGraph, get_siblings, get_uncles
 from .rng import SplitMix64
@@ -58,9 +58,9 @@ class SplitRatios:
     def __post_init__(self):
         for name, value in (("train", self.train), ("dev", self.dev), ("test", self.test)):
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} ratio {value} outside [0, 1]")
+                raise UsageError(f"{name} ratio {value} outside [0, 1]")
         if abs(self.train + self.dev + self.test - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1.0")
+            raise UsageError("split ratios must sum to 1.0")
 
 
 def _label_pool(graph: OntologyGraph, concept_ids) -> list[str]:

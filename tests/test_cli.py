@@ -347,11 +347,12 @@ class TestBm25OnlyIndex:
 
 
 class TestArgumentValidation:
-    def test_query_k_zero(self, capsys, tmp_path):
-        code, _, err = run(capsys, "query", "--index", str(tmp_path),
+    def test_query_k_zero(self, capsys, built_index):
+        code, _, err = run(capsys, "query", "--index", str(built_index),
                            "--q", "x", "--k", "0")
         assert code == 2
         assert json.loads(err)["error"] == "app.UsageError"
+        assert "k must be >= 1" in json.loads(err)["message"]
 
     def test_serve_bad_bind(self, capsys, built_index):
         code, _, err = run(capsys, "serve", "--index", str(built_index),
@@ -361,7 +362,9 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("flag", [["--margin", "-1"], ["--margin", "0"],
                                       ["--dim", "0"], ["--buckets", "0"],
-                                      ["--batch", "0"], ["--warmup", "2"]])
+                                      ["--batch", "0"], ["--warmup", "2"],
+                                      ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-1"],
+                                      ["--margin", "nan"]])
     def test_train_bad_flag(self, capsys, tmp_path, flag):
         trip = tmp_path / "t"
         assert main(["triplets", *ontology_args(), "--out", str(trip)]) == 0
@@ -372,6 +375,17 @@ class TestArgumentValidation:
         assert code == 2
         assert json.loads(err)["error"] == "app.UsageError"
         assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("flag", [["--k1", "nan"], ["--k1", "inf"], ["--k1", "-1"],
+                                      ["--b", "nan"], ["--b", "2"], ["--b", "-0.5"]])
+    def test_index_bad_bm25_flag(self, capsys, tmp_path, flag):
+        code, out, err = run(capsys, "index", *ontology_args(), "--bm25", *flag,
+                             "--out", str(tmp_path / "index"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "app.UsageError"
+        assert json.loads(err)["message"].startswith(f"{flag[0][2:]} must")
+        assert not (tmp_path / "index").exists()
 
     @pytest.mark.parametrize("ks", ["0", "1,0,5", "-3"])
     def test_eval_k_below_one(self, capsys, built_index, tmp_path, ks):
@@ -475,6 +489,8 @@ class TestCorruptBundle:
         ("bm25.json", _truncate, "bm25.json"),
         ("bm25.json", _rewrite_json(term_freqs=None), "bm25.json"),
         ("bm25.json", _rewrite_json(version=1), "bm25.json"),
+        ("bm25.json", _rewrite_json(k1=np.nan), "bm25.json"),
+        ("bm25.json", _rewrite_json(b=2.0), "bm25.json"),
         ("vector.npz", lambda path: path.write_text("not a zip\n"), "vector.npz"),
         ("vector.npz", _truncate, "vector.npz"),
         ("vector.npz", _rewrite_npz(rows=None), "vector.npz"),
@@ -487,7 +503,8 @@ class TestCorruptBundle:
         ("encoder.npz", _truncate, "encoder.npz"),
         ("vector.npz", _poison_npz("rows", np.nan), "vector.npz"),
         ("encoder.npz", _poison_npz("table", np.inf), "encoder.npz"),
-    ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-version-1", "vector-not-a-zip",
+    ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-version-1", "bm25-k1-nan",
+            "bm25-b-2", "vector-not-a-zip",
             "vector-truncated", "vector-no-rows", "vector-version-1", "label-added",
             "label-dropped", "labels-not-utf8", "encoder-not-a-zip", "encoder-truncated",
             "vector-rows-nan", "encoder-table-inf"])
@@ -511,7 +528,11 @@ class TestIndexModel:
         _truncate,
         _rewrite_npz(table=None),
         _rewrite_npz(version=2),
-    ], ids=["text-file", "truncated", "no-table", "version-2"])
+        _rewrite_npz(table=np.zeros((16, 3))),
+        _rewrite_npz(kind="wordvec", tokens=np.array(["fatigue"]), matrix=np.ones((1, 3)),
+                     duplicates=0, table=None),
+    ], ids=["text-file", "truncated", "no-table", "version-2", "table-3-wide",
+            "wordvec-matrix-3-wide"])
     def test_one_malformed_line(self, capsys, tmp_path, corrupt):
         model = tmp_path / "model.npz"
         save_encoder(SubwordEmbedder(bucket_count=16, dim=4, seed=0), model)

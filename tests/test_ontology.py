@@ -81,7 +81,7 @@ class TestLoading:
         write_tsv(tmp_path / "c.tsv", [("A", "a"), ("A", "a2")])
         (tmp_path / "l.tsv").write_text("", encoding="utf-8")
         (tmp_path / "r.tsv").write_text("", encoding="utf-8")
-        with pytest.raises(DuplicateConceptId):
+        with pytest.raises(DuplicateConceptId, match=r"c\.tsv:2: duplicate concept id 'A'"):
             load_ontology(tmp_path / "c.tsv", tmp_path / "l.tsv", tmp_path / "r.tsv")
 
     def test_empty_label_rejected(self, tmp_path):
