@@ -23,15 +23,16 @@ from .embedder import (
     load_word_vectors,
     save_encoder,
 )
-from .errors import FileNotFound, IoError, OntoSearchError, UsageError
+from .errors import FileNotFound, IoError, MalformedLine, OntoSearchError, UsageError
 from .ontology import load_ontology
 from .ranker import (
     BM25_B,
     BM25_K1,
-    DEFAULT_STOPWORDS,
     build_bm25_index,
     build_vector_index,
+    check_bm25_params,
     hit_json_line,
+    hits_json_array,
     load_stopwords,
 )
 from .train import TrainConfig, train
@@ -50,105 +51,86 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Args:
-    """Adds arguments to one subparser, letting config values stand in for
-    required flags (explicit flags still override them)."""
-
-    def __init__(self, parser: argparse.ArgumentParser, defaults: dict):
-        self.parser = parser
-        self.defaults = defaults
-
-    def add(self, name: str, required: bool = False, **kwargs):
-        dest = name.lstrip("-").replace("-", "_")
-        if dest in self.defaults:
-            kwargs["default"] = self.defaults[dest]
-            required = False
-        if kwargs.get("action") in ("store_true", "store_false"):
-            self.parser.add_argument(name, **kwargs)
-        else:
-            self.parser.add_argument(name, required=required, **kwargs)
+def _ontology_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--concepts", required=True, help="concepts.tsv path")
+    p.add_argument("--labels", required=True, help="labels.tsv path")
+    p.add_argument("--relations", required=True, help="relations.tsv path")
 
 
-def _ontology_args(args: _Args) -> None:
-    args.add("--concepts", required=True, help="concepts.tsv path")
-    args.add("--labels", required=True, help="labels.tsv path")
-    args.add("--relations", required=True, help="relations.tsv path")
-
-
-def build_parser(config: PipelineConfig | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ontosearch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key = value config file")
-        return _Args(p, config.defaults_for(name) if config else {})
+        return p
 
-    a = command("ingest", "validate an ontology and print stats")
-    _ontology_args(a)
+    p = command("ingest", "validate an ontology and print stats")
+    _ontology_args(p)
 
-    a = command("triplets", "generate and split training triplets")
-    _ontology_args(a)
-    a.add("--seed", type=int, default=0)
-    a.add("--out", required=True, help="output directory")
-    a.add("--ratios", default="0.9,0.05,0.05", help="train,dev,test fractions")
-    a.add("--single-label-fallback", action="store_true")
-    a.add("--dedup", action="store_true")
+    p = command("triplets", "generate and split training triplets")
+    _ontology_args(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--ratios", default="0.9,0.05,0.05", help="train,dev,test fractions")
+    p.add_argument("--single-label-fallback", action="store_true")
+    p.add_argument("--dedup", action="store_true")
 
-    a = command("train", "train the subword encoder")
-    a.add("--triplets", required=True, help="train.tsv path")
-    a.add("--dev", help="dev.tsv path")
-    a.add("--dim", type=int, default=64)
-    a.add("--buckets", type=int, default=32768,
-          help="hash table rows of the subword encoder")
-    a.add("--epochs", type=int, default=5)
-    a.add("--batch", type=int, default=32)
-    a.add("--lr", type=float, default=2e-5)
-    a.add("--margin", type=float, default=0.1)
-    a.add("--warmup", type=float, default=0.10)
-    a.add("--seed", type=int, default=0)
-    a.add("--out", required=True, help="model file (.npz)")
+    p = command("train", "train the subword encoder")
+    p.add_argument("--triplets", required=True, help="train.tsv path")
+    p.add_argument("--dev", help="dev.tsv path")
+    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--buckets", type=int, default=32768,
+                   help="hash table rows of the subword encoder")
+    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--lr", type=float, default=2e-5)
+    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--warmup", type=float, default=0.10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="model file (.npz)")
 
-    a = command("index", "build a searchable index directory")
-    _ontology_args(a)
-    enc = a.parser.add_mutually_exclusive_group()
+    p = command("index", "build a searchable index directory")
+    _ontology_args(p)
+    enc = p.add_mutually_exclusive_group()
     enc.add_argument("--model", help="trained subword encoder (.npz)")
     enc.add_argument("--word-vectors", help="word-vector text file")
     enc.add_argument("--precomputed", help="precomputed embedding TSV")
-    a.add("--bm25", action="store_true", help="also build a BM25 index")
-    a.add("--stopwords", help="stop-word file (default: built-in list)")
-    a.add("--k1", type=float, default=BM25_K1)
-    a.add("--b", type=float, default=BM25_B)
-    a.add("--out", required=True, help="index directory")
+    p.add_argument("--bm25", action="store_true", help="also build a BM25 index")
+    p.add_argument("--stopwords", help="stop-word file (default: built-in list)")
+    p.add_argument("--k1", type=float, default=BM25_K1)
+    p.add_argument("--b", type=float, default=BM25_B)
+    p.add_argument("--out", required=True, help="index directory")
 
-    a = command("query", "one-shot text search")
-    a.add("--index", required=True)
-    a.add("--q", required=True)
-    a.add("--k", type=int, default=10)
-    a.add("--ranker", choices=("vector", "bm25"), default="vector")
+    p = command("query", "one-shot text search")
+    p.add_argument("--index", required=True)
+    p.add_argument("--q", required=True)
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--ranker", choices=("vector", "bm25"), default="vector")
 
-    a = command("match", "concept-to-concept search over a source ontology")
-    a.add("--index", required=True)
-    a.add("--source-concepts", required=True)
-    a.add("--source-labels", required=True)
-    a.add("--k", type=int, default=10)
-    a.add("--ranker", choices=("vector", "bm25"), default="vector")
+    p = command("match", "concept-to-concept search over a source ontology")
+    p.add_argument("--index", required=True)
+    p.add_argument("--source-concepts", required=True)
+    p.add_argument("--source-labels", required=True)
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--ranker", choices=("vector", "bm25"), default="vector")
 
-    a = command("eval", "evaluate a query set and write a report")
-    a.add("--index", required=True)
-    a.add("--queries", required=True)
-    a.add("--mode", choices=("text", "concept"), default="text")
-    a.add("--k", default="1,5,10", help="comma-separated K values")
-    a.add("--ranker", choices=("vector", "bm25"), default="vector")
-    a.add("--stopwords", help="stop-word file for overlap degrees")
-    a.add("--baseline-run", action="append", dest="baseline_runs",
-          help="baseline report.json for a paired t-test (repeatable)")
-    a.add("--stat", choices=("hits", "rr"), default="hits")
-    a.add("--out", help="report path (default: stdout)")
+    p = command("eval", "evaluate a query set and write a report")
+    p.add_argument("--index", required=True)
+    p.add_argument("--queries", required=True)
+    p.add_argument("--mode", choices=("text", "concept"), default="text")
+    p.add_argument("--k", default="1,5,10", help="comma-separated K values")
+    p.add_argument("--ranker", choices=("vector", "bm25"), default="vector")
+    p.add_argument("--stopwords", help="stop-word file for overlap degrees")
+    p.add_argument("--baseline-run", action="append", dest="baseline_runs",
+                   help="baseline report.json for a paired t-test (repeatable)")
+    p.add_argument("--stat", choices=("hits", "rr"), default="hits")
+    p.add_argument("--out", help="report path (default: stdout)")
 
-    a = command("serve", "serve the index over HTTP")
-    a.add("--index", required=True)
-    a.add("--bind", default="127.0.0.1:8080", help="host:port")
+    p = command("serve", "serve the index over HTTP")
+    p.add_argument("--index", required=True)
+    p.add_argument("--bind", default="127.0.0.1:8080", help="host:port")
 
     return parser
 
@@ -233,25 +215,25 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    check_bm25_params(args.k1, args.b)  # with or without --bm25, as is --stopwords
+    stopwords = load_stopwords(args.stopwords)
     graph = load_ontology(args.concepts, args.labels, args.relations)
-    encoder = None
-    if args.model:
-        encoder = load_encoder(args.model)
-    elif args.word_vectors:
-        encoder = load_word_vectors(args.word_vectors)
-    elif args.precomputed:
-        encoder = load_precomputed(args.precomputed)
-    if encoder is None and not args.bm25:
+    source = args.model or args.word_vectors or args.precomputed
+    if not source and not args.bm25:
         raise UsageError(
             "nothing to build: give --model/--word-vectors/--precomputed "
             "and/or --bm25"
         )
-    vector = build_vector_index(graph, encoder) if encoder is not None else None
-    bm25 = (
-        build_bm25_index(graph, args.stopwords, k1=args.k1, b=args.b)
-        if args.bm25
-        else None
-    )
+    vector = encoder = None
+    if source:
+        load = (load_encoder if args.model else
+                load_word_vectors if args.word_vectors else load_precomputed)
+        encoder = load(source)
+        try:
+            vector = build_vector_index(graph, encoder)
+        except MalformedLine as exc:  # a label whose embedding overflows
+            raise MalformedLine(f"{source}: {exc.message}") from None
+    bm25 = build_bm25_index(graph, stopwords, k1=args.k1, b=args.b) if args.bm25 else None
     store.save_bundle(args.out, graph, vector=vector, encoder=encoder, bm25=bm25)
     print(json.dumps({
         "out": str(args.out),
@@ -275,11 +257,8 @@ def _cmd_match(args) -> int:
         hits = store.match_hits(
             bundle, list(source.concepts[cid].labels), args.k, args.ranker
         )
-        line = {
-            "source_id": cid,
-            "hits": [hit.to_dict() for hit in hits],
-        }
-        print(json.dumps(line, ensure_ascii=False, separators=(",", ":")))
+        print(f'{{"source_id":{json.dumps(cid, ensure_ascii=False)},'
+              f'"hits":{hits_json_array(hits)}}}')
     return 0
 
 
@@ -291,12 +270,9 @@ def _cmd_eval(args) -> int:
     bundle = store.load_bundle(args.index)
     queries = evaluation.read_queries(args.queries, mode=args.mode)
 
-    if args.stopwords:
-        stopwords = load_stopwords(args.stopwords)
-    elif bundle.bm25 is not None:
-        stopwords = bundle.bm25.stopwords
-    else:
-        stopwords = DEFAULT_STOPWORDS
+    # overlap degrees skip --stopwords, else the BM25 index's list, else the built-in one
+    stopwords = (load_stopwords(args.stopwords or None) if args.stopwords or bundle.bm25 is None
+                 else bundle.bm25.stopwords)
 
     def handle(query: evaluation.EvalQuery, k: int):
         if query.query_text is not None:
@@ -353,15 +329,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config = _extract_config(argv)
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
+        if config is not None:  # its values act as flags ahead of the command line's own
+            argv[1:1] = [f"--{k}={v}" for k, v in config.defaults_for(argv[0]).items()]
+        args = build_parser().parse_args(argv)
         if config is not None:
             config.check_paths(args.command)
         return _COMMANDS[args.command](args)
     except (OntoSearchError, OSError) as exc:
         if isinstance(exc, OSError):
             exc = (FileNotFound if isinstance(exc, FileNotFoundError) else IoError)(str(exc))
-        print(json.dumps({"error": exc.code, "message": exc.message}), file=sys.stderr)
+        print(exc.json_line(), file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
 
 

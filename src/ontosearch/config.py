@@ -1,8 +1,8 @@
 """Pipeline configuration file: flat ``section.key = value`` lines.
 
-A config file supplies defaults for CLI flags; explicit flags always win.
-The format is deliberately trivial (one assignment per line, ``#``
-comments, UTF-8) and round-trips through load/save.
+A config file's values act as CLI flags ahead of the command line's own,
+so explicit flags always win.  The format is deliberately trivial (one
+assignment per line, ``#`` comments, UTF-8) and round-trips through load/save.
 
 Recognised keys and the flags they feed:
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,16 @@ class SubwordEmbedder:
         return h.hexdigest()
 
 
+def _table_fingerprint(kind: str, dim: int, table: dict[str, np.ndarray]) -> str:
+    """sha256 over the kind, the shape and every (key, vector) in key order."""
+    h = hashlib.sha256()
+    h.update(f"{kind}:{dim}:{len(table)}:".encode())
+    for key in sorted(table):
+        h.update(key.encode("utf-8") + b"\x00")
+        h.update(np.ascontiguousarray(table[key]).tobytes())
+    return h.hexdigest()
+
+
 class StaticWordVectors:
     """Mean of known token vectors; unknown tokens are skipped and a text
     with no known tokens embeds to the zero vector."""
@@ -176,12 +187,7 @@ class StaticWordVectors:
         return np.mean(rows, axis=0)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"wordvec:{self.dim}:{len(self.vectors)}:".encode())
-        for token in sorted(self.vectors):
-            h.update(token.encode("utf-8") + b"\x00")
-            h.update(np.ascontiguousarray(self.vectors[token]).tobytes())
-        return h.hexdigest()
+        return _table_fingerprint(self.kind, self.dim, self.vectors)
 
 
 class PrecomputedEncoder:
@@ -202,12 +208,7 @@ class PrecomputedEncoder:
             ) from None
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"precomputed:{self.dim}:{len(self.table)}:".encode())
-        for text in sorted(self.table):
-            h.update(text.encode("utf-8") + b"\x00")
-            h.update(np.ascontiguousarray(self.table[text]).tobytes())
-        return h.hexdigest()
+        return _table_fingerprint(self.kind, self.dim, self.table)
 
 
 Encoder = SubwordEmbedder | StaticWordVectors | PrecomputedEncoder
@@ -215,75 +216,72 @@ Encoder = SubwordEmbedder | StaticWordVectors | PrecomputedEncoder
 
 # --- loading the two file-backed encoders -------------------------------------
 
-def _parse_vector(fields: list[str], path: Path, lineno: int) -> np.ndarray:
-    try:
-        vec = np.asarray([float(x) for x in fields], dtype=np.float64)
-    except ValueError:
-        raise MalformedLine(f"{path}:{lineno}: non-numeric vector component") from None
-    if not np.isfinite(vec).all():
-        raise MalformedLine(f"{path}:{lineno}: non-finite vector component")
-    return vec
+def _read_vectors(path: Path, rows: Iterable[tuple[int, str, list[str]]]
+                  ) -> tuple[dict[str, np.ndarray], int, int]:
+    """``({key: vector}, dim, duplicates)`` from ``(lineno, key, fields)``
+    rows, each format's line syntax already applied.  Components must be
+    finite numbers, every row as wide as the first, and a repeated key
+    keeps its last vector, counted and logged."""
+    vectors: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    duplicates = 0
+    for lineno, key, fields in rows:
+        try:
+            vec = np.asarray([float(x) for x in fields], dtype=np.float64)
+        except ValueError:
+            raise MalformedLine(f"{path}:{lineno}: non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise MalformedLine(f"{path}:{lineno}: non-finite vector component")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise InconsistentDimension(f"{path}:{lineno}: dimension {vec.size} != {dim}")
+        if key in vectors:
+            duplicates += 1
+            logger.warning("duplicate vector for %r at %s:%d, last wins", key, path, lineno)
+        vectors[key] = vec
+    if dim is None:
+        raise MalformedLine(f"{path}: no vector rows")
+    return vectors, dim, duplicates
 
 
 def load_word_vectors(path: str | Path) -> StaticWordVectors:
     """Read the word-vector text format: an optional ``N d`` header line,
-    then ``token v1 .. vd`` space-separated rows.  Duplicate tokens keep the
-    last occurrence and are counted as a warning."""
+    then ``token v1 .. vd`` space-separated rows."""
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    duplicates = 0
-    for lineno, line in read_lines(path):
-        fields = line.split()
-        if not fields:
-            continue
-        if lineno == 1 and len(fields) == 2:
-            try:
-                int(fields[0]), int(fields[1])
-                continue  # header line
-            except ValueError:
-                pass
-        if len(fields) < 2:
-            raise MalformedLine(f"{path}:{lineno}: expected 'token v1 .. vd'")
-        token, *rest = fields
-        vec = _parse_vector(rest, path, lineno)
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise InconsistentDimension(
-                f"{path}:{lineno}: dimension {vec.size} != {dim}"
-            )
-        if token in vectors:
-            duplicates += 1
-            logger.warning("duplicate token %r at %s:%d, last wins", token, path, lineno)
-        vectors[token] = vec
-    if dim is None:
-        raise MalformedLine(f"{path}: no vector rows")
-    return StaticWordVectors(vectors, dim, duplicates)
+
+    def rows():
+        for lineno, line in read_lines(path):
+            fields = line.split()
+            if not fields:
+                continue
+            if lineno == 1 and len(fields) == 2:
+                try:
+                    int(fields[0]), int(fields[1])
+                    continue  # header line
+                except ValueError:
+                    pass
+            if len(fields) < 2:
+                raise MalformedLine(f"{path}:{lineno}: expected 'token v1 .. vd'")
+            yield lineno, fields[0], fields[1:]
+
+    return StaticWordVectors(*_read_vectors(path, rows()))
 
 
 def load_precomputed(path: str | Path) -> PrecomputedEncoder:
     """Read the precomputed-embedding TSV: ``text <TAB> v1 v2 .. vd``."""
     path = Path(path)
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise MalformedLine(f"{path}:{lineno}: expected 'text<TAB>v1 v2 .. vd'")
-        text, blob = parts
-        vec = _parse_vector(blob.split(), path, lineno)
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise InconsistentDimension(
-                f"{path}:{lineno}: dimension {vec.size} != {dim}"
-            )
-        table[text] = vec
-    if dim is None:
-        raise MalformedLine(f"{path}: no embedding rows")
+
+    def rows():
+        for lineno, line in read_lines(path):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise MalformedLine(f"{path}:{lineno}: expected 'text<TAB>v1 v2 .. vd'")
+            yield lineno, parts[0], parts[1].split()
+
+    table, dim, _ = _read_vectors(path, rows())
     return PrecomputedEncoder(table, dim)
 
 

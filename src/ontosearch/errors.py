@@ -7,6 +7,8 @@ parsable errors without string matching on messages.
 
 from __future__ import annotations
 
+import json
+
 
 class OntoSearchError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,10 @@ class OntoSearchError(Exception):
     def __init__(self, message: str):
         super().__init__(message)
         self.message = message
+
+    def json_line(self) -> str:
+        """The one-line JSON form in which both surfaces send an error."""
+        return json.dumps({"error": self.code, "message": self.message})
 
 
 # --- ontology ---------------------------------------------------------------

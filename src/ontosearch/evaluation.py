@@ -23,7 +23,7 @@ from .errors import (
     TooFewPairs,
     UsageError,
 )
-from .npzio import read_lines
+from .npzio import read_rows
 from .ontology import Concept, OntologyGraph, gain_of_relation, relation_between
 from .ranker import DEFAULT_STOPWORDS, RankedHit
 
@@ -422,23 +422,13 @@ def read_queries(path: str | Path, mode: str = "text") -> list[EvalQuery]:
         raise ValueError(f"unknown query mode {mode!r}")
     path = Path(path)
     queries: list[EvalQuery] = []
-    for lineno, line in read_lines(path):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise MalformedLine(f"{path}:{lineno}: expected 3 tab-separated fields")
-        qid, body, relevant = parts
+    for lineno, (qid, body, relevant) in read_rows(path, 3):
         relevant_ids = frozenset(x for x in relevant.split(",") if x)
         if not relevant_ids:
             raise MalformedLine(f"{path}:{lineno}: no relevant concept id")
         if mode == "text":
-            queries.append(
-                EvalQuery(query_id=qid, relevant_ids=relevant_ids, query_text=body)
-            )
+            queries.append(EvalQuery(qid, relevant_ids, query_text=body))
         else:
             labels = tuple(x for x in body.split("|") if x)
-            queries.append(
-                EvalQuery(query_id=qid, relevant_ids=relevant_ids, query_labels=labels)
-            )
+            queries.append(EvalQuery(qid, relevant_ids, query_labels=labels))
     return queries

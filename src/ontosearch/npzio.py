@@ -1,6 +1,7 @@
 """File access shared by every loader and saver.
 
-Text inputs are read only through ``read_lines``, and the artifact
+Text inputs are read only through ``read_lines`` (commented TSV tables
+through ``read_rows`` on top of it), and the artifact
 loaders decode inside ``decoding``, so a file that cannot be decoded is
 reported the same way wherever it is read: one ``io.MalformedLine``
 naming it.
@@ -47,6 +48,21 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_rows(path: str | Path, columns: int) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` for each row of a TSV file of ``columns``
+    tab-separated fields; empty lines and lines starting with ``#`` are
+    skipped."""
+    path = Path(path)
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != columns:
+            raise MalformedLine(f"{path}:{lineno}: expected {columns} tab-separated fields, "
+                                f"got {len(fields)}")
+        yield lineno, fields
 
 
 @contextmanager

@@ -28,7 +28,7 @@ from .errors import (
     UnknownConceptId,
     UnknownParentId,
 )
-from .npzio import read_lines
+from .npzio import read_rows
 
 
 class RelationKind(enum.Enum):
@@ -215,20 +215,6 @@ def relation_between(
 
 # --- TSV loading / saving ----------------------------------------------------
 
-def _read_rows(path: str | Path, columns: int):
-    path = Path(path)
-    for lineno, line in read_lines(path):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != columns:
-            raise MalformedLine(
-                f"{path}:{lineno}: expected {columns} tab-separated fields, "
-                f"got {len(parts)}"
-            )
-        yield lineno, parts
-
-
 def load_ontology(
     concepts_path: str | Path,
     labels_path: str | Path,
@@ -242,9 +228,8 @@ def load_ontology(
     Raises DuplicateConceptId, UnknownConceptId, UnknownParentId,
     CycleDetected, EmptyLabel, DuplicateLabel or MalformedLine.
     """
-    labels: dict[str, list[str]] = {}
-    order: list[str] = []
-    for lineno, (cid, preferred) in _read_rows(concepts_path, 2):
+    labels: dict[str, list[str]] = {}  # in concepts.tsv order
+    for lineno, (cid, preferred) in read_rows(concepts_path, 2):
         preferred = preferred.strip()
         if not cid:
             raise MalformedLine(f"{concepts_path}:{lineno}: empty concept id")
@@ -253,9 +238,8 @@ def load_ontology(
         if cid in labels:
             raise DuplicateConceptId(f"{concepts_path}:{lineno}: duplicate concept id {cid!r}")
         labels[cid] = [preferred]
-        order.append(cid)
 
-    for lineno, (cid, label) in _read_rows(labels_path, 2):
+    for lineno, (cid, label) in read_rows(labels_path, 2):
         label = label.strip()
         if cid not in labels:
             raise UnknownConceptId(
@@ -271,7 +255,7 @@ def load_ontology(
 
     parents: dict[str, set[str]] = {cid: set() for cid in labels}
     for lineno, (child, parent) in (
-        _read_rows(relations_path, 2) if relations_path is not None else ()
+        read_rows(relations_path, 2) if relations_path is not None else ()
     ):
         if child not in labels:
             raise UnknownConceptId(
@@ -285,7 +269,7 @@ def load_ontology(
 
     return OntologyGraph(
         Concept(id=cid, labels=tuple(labels[cid]), parent_ids=frozenset(parents[cid]))
-        for cid in order
+        for cid in labels
     )
 
 

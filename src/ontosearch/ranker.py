@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -70,6 +70,12 @@ def hit_json_line(hit: RankedHit) -> str:
     service joins the same strings into arrays, keeping the two surfaces
     byte-identical."""
     return json.dumps(hit.to_dict(), ensure_ascii=False, separators=(",", ":"))
+
+
+def hits_json_array(hits: Iterable[RankedHit]) -> str:
+    """A JSON array of the hits' lines, byte for byte: the service's answer
+    and the ``hits`` of each line ``match`` prints."""
+    return "[" + ",".join(map(hit_json_line, hits)) + "]"
 
 
 def _search(index, texts: list[str], k: int, score) -> list[RankedHit]:
@@ -228,15 +234,20 @@ def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
     """One row per (concept, label) in ``_label_rows`` order.
 
     Rows are normalised to unit length; an all-zero embedding is kept as the
-    zero row (it cosine-scores 0 against everything).
+    zero row (it cosine-scores 0 against everything).  An embedding, or a
+    norm, that overflows raises ``io.MalformedLine`` naming the label.
     """
     concept_ids, labels = _label_rows(graph)
     rows = np.zeros((len(labels), encoder.dim), dtype=np.float64)
-    for row, label in zip(rows, labels):
-        vec = np.asarray(encoder.embed(label), dtype=np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm >= _ZERO_NORM_EPS:
-            row[:] = vec / norm
+    with np.errstate(over="raise", invalid="raise"):
+        for row, label in zip(rows, labels):
+            try:
+                vec = np.asarray(encoder.embed(label), dtype=np.float64)
+                norm = float(np.linalg.norm(vec))
+            except FloatingPointError:
+                raise MalformedLine(f"the embedding of label {label!r} overflows") from None
+            if norm >= _ZERO_NORM_EPS:
+                row[:] = vec / norm
     return VectorIndex(encoder.dim, rows, concept_ids, labels, encoder.fingerprint())
 
 
@@ -279,6 +290,14 @@ def load_stopwords(path: str | Path | None) -> frozenset[str]:
     return frozenset(words)
 
 
+def check_bm25_params(k1: float, b: float) -> None:
+    """Refuse a ``k1`` that is negative or not finite, and a ``b`` outside [0, 1]."""
+    if not 0.0 <= k1 < math.inf:
+        raise UsageError(f"k1 must be finite and >= 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise UsageError(f"b must lie in [0, 1], got {b}")
+
+
 class Bm25Index:
     """Okapi BM25 over one document per concept of ``graph``, in ascending
     id order (the order score ties are broken in); ``term_freqs`` holds
@@ -296,10 +315,7 @@ class Bm25Index:
         k1: float,
         b: float,
     ):
-        if not 0.0 <= k1 < math.inf:
-            raise UsageError(f"k1 must be finite and >= 0, got {k1}")
-        if not 0.0 <= b <= 1.0:
-            raise UsageError(f"b must lie in [0, 1], got {b}")
+        check_bm25_params(k1, b)
         self.concept_ids = graph.sorted_ids()
         self.term_freqs = term_freqs
         # one row per concept, labelled with its preferred label
@@ -374,13 +390,15 @@ class Bm25Index:
 
 def build_bm25_index(
     graph: OntologyGraph,
-    stopwords_path: str | Path | None = None,
+    stopwords: frozenset[str] | str | Path | None = None,
     k1: float = BM25_K1,
     b: float = BM25_B,
 ) -> Bm25Index:
     """Index every concept as the stop-word-filtered token bag of all its
-    labels concatenated."""
-    stopwords = load_stopwords(stopwords_path)
+    labels concatenated; ``stopwords`` is a loaded set or what
+    ``load_stopwords`` reads."""
+    if not isinstance(stopwords, frozenset):
+        stopwords = load_stopwords(stopwords)
     term_freqs = [
         dict(Counter(t for label in graph.concepts[cid].labels for t in tokenize(label)
                      if t not in stopwords))

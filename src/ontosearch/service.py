@@ -34,7 +34,7 @@ from .errors import (
     UnknownConceptId,
     UsageError,
 )
-from .ranker import hit_json_line
+from .ranker import hits_json_array
 
 logger = logging.getLogger(__name__)
 
@@ -49,10 +49,10 @@ class SearchService:
         self.bundle = bundle
 
     def hits_array(self, text: str, k: int, ranker: str) -> str:
-        return _json_array(store.query_hits(self.bundle, text, k, ranker))
+        return hits_json_array(store.query_hits(self.bundle, text, k, ranker))
 
     def match_array(self, labels: list[str], k: int, ranker: str) -> str:
-        return _json_array(store.match_hits(self.bundle, labels, k, ranker))
+        return hits_json_array(store.match_hits(self.bundle, labels, k, ranker))
 
     def concept_record(self, concept_id: str) -> dict | None:
         if concept_id not in self.bundle.graph:
@@ -74,11 +74,6 @@ class SearchService:
             "vector_fingerprint": vector.encoder_fingerprint if vector else None,
             "bm25_fingerprint": bm25.fingerprint() if bm25 else None,
         }
-
-
-def _json_array(hits) -> str:
-    """A JSON array of the hits' CLI lines, byte for byte."""
-    return "[" + ",".join(map(hit_json_line, hits)) + "]"
 
 
 # The HTTP status of each error; any other OntoSearchError is a bad request.
@@ -122,7 +117,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_error(self, status: int, exc: OntoSearchError) -> None:
         """The one way an error answer is written: its JSON line."""
-        self._send(status, json.dumps({"error": exc.code, "message": exc.message}))
+        self._send(status, exc.json_line())
 
     def send_error(self, code, message=None, explain=None):
         """http.server's own refusals (a bad request line, an over-long URI,

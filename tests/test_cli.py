@@ -8,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ontosearch.cli as cli
+from ontosearch import ranker as ranker_module
 from ontosearch.cli import main
+from ontosearch.config import _KEYS as config_keys
+from ontosearch.config import _flag as config_flag
 from ontosearch.embedder import (
     PrecomputedEncoder,
     StaticWordVectors,
@@ -425,6 +429,183 @@ class TestArgumentValidation:
         assert code == 1
         assert json.loads(err)["error"] == "io.FileNotFound"
         assert "absent.tsv" in json.loads(err)["message"]
+
+
+class TestIndexBm25Flags:
+    """`index` checks --k1, --b and --stopwords before it builds anything,
+    with or without --bm25."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        model = tmp_path / "model.npz"
+        save_encoder(SubwordEmbedder(bucket_count=16, dim=4, seed=0), model)
+        return model
+
+    @pytest.mark.parametrize("flag", [["--k1", "nan"], ["--k1", "-1"], ["--b", "2"]])
+    def test_bad_range_without_bm25(self, capsys, tmp_path, model, flag):
+        code, out, err = run(capsys, "index", *ontology_args(), "--model", str(model), *flag,
+                             "--out", str(tmp_path / "index"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "app.UsageError"
+        assert json.loads(err)["message"].startswith(f"{flag[0][2:]} must")
+        assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("content, error", [
+        (None, "io.FileNotFound"),
+        ("two words\n", "ranker.MalformedStopwordFile"),
+    ], ids=["missing", "malformed"])
+    def test_bad_stopwords_without_bm25(self, capsys, tmp_path, model, content, error):
+        stop = tmp_path / "stop.txt"
+        if content is not None:
+            stop.write_text(content, encoding="utf-8")
+        code, out, err = run(capsys, "index", *ontology_args(), "--model", str(model),
+                             "--stopwords", str(stop), "--out", str(tmp_path / "index"))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
+        assert str(stop) in json.loads(err)["message"]
+        assert not (tmp_path / "index").exists()
+
+    def test_stopword_file_read_once(self, capsys, tmp_path, monkeypatch, model):
+        reads = []
+        read_lines = ranker_module.read_lines
+        monkeypatch.setattr(ranker_module, "read_lines",
+                            lambda path: reads.append(str(path)) or read_lines(path))
+        stop = tmp_path / "stop.txt"
+        stop.write_text("of\n", encoding="utf-8")
+        code, out, _ = run(capsys, "index", *ontology_args(), "--model", str(model), "--bm25",
+                           "--stopwords", str(stop), "--out", str(tmp_path / "index"))
+        assert code == 0
+        assert json.loads(out)["bm25_docs"] == 5
+        assert reads == [str(stop)]
+
+    def test_config_bm25_values_with_vector_only_index(self, capsys, tmp_path, model):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("of\n", encoding="utf-8")
+        conf = tmp_path / "pipe.conf"
+        conf.write_text(f"ranker.k1 = 1.5\nranker.b = 0.5\npaths.stopwords = {stop}\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "index", "--config", str(conf), *ontology_args(),
+                           "--model", str(model), "--out", str(tmp_path / "index"))
+        assert code == 0
+        assert json.loads(out) == {"out": str(tmp_path / "index"), "vector_rows": 7,
+                                   "bm25_docs": 0}
+
+
+@pytest.mark.parametrize("encoder", [
+    SubwordEmbedder(bucket_count=16, dim=4, seed=0, table=np.full((16, 4), 1e308)),
+    StaticWordVectors({"feeling": np.full(2, 1e308), "tired": np.full(2, 1e308)}, 2),
+    PrecomputedEncoder({label: np.full(2, 1e308) for label in (
+        "Asthenia", "Lassitude", "Energy and stamina finding", "Exhaustion", "Fatigue",
+        "Weariness", "Feeling tired")}, 2),
+], ids=["subword", "wordvec", "precomputed"])
+def test_index_model_that_overflows(tmp_path, encoder):
+    """Finite model tables whose label embeddings (or their norms) overflow:
+    one JSON line on stderr naming the model file, and no numpy warning,
+    exit 1."""
+    model = tmp_path / "model.npz"
+    save_encoder(encoder, model)
+    result = subprocess.run(
+        [sys.executable, "-m", "ontosearch", "index", *ontology_args(),
+         "--model", str(model), "--out", str(tmp_path / "index")],
+        capture_output=True, text=True, check=False, env=package_env(),
+    )
+    assert result.returncode == 1
+    assert result.stdout == "" and result.stderr.count("\n") == 1, result.stderr
+    error = json.loads(result.stderr)
+    assert error["error"] == "io.MalformedLine"
+    assert str(model) in error["message"]
+    assert not (tmp_path / "index").exists()
+
+
+# every config key, with a value of its type; the paths.* input files exist
+def config_values(tmp_path):
+    stop = tmp_path / "stop.txt"
+    stop.write_text("of\n", encoding="utf-8")
+    return {
+        "paths.concepts": str(FIG / "concepts.tsv"),
+        "paths.labels": str(FIG / "labels.tsv"),
+        "paths.relations": str(FIG / "relations.tsv"),
+        "paths.stopwords": str(stop),
+        "paths.out": str(tmp_path / "out"),
+        "train.dim": 8,
+        "train.buckets": 64,
+        "train.epochs": 3,
+        "train.batch": 4,
+        "train.lr": 0.003,
+        "train.margin": 0.25,
+        "train.warmup": 0.2,
+        "ranker.k": 7,
+        "ranker.k1": 1.5,
+        "ranker.b": 0.5,
+        "serve.bind": "127.0.0.1:9099",
+        "seeds.triplets": 3,
+        "seeds.train": 4,
+    }
+
+
+# the required flags no config key feeds
+OTHER_FLAGS = {
+    "ingest": [],
+    "triplets": [],
+    "train": ["--triplets", "train.tsv"],
+    "index": [],
+    "query": ["--index", "index", "--q", "fatigue"],
+    "match": ["--index", "index", "--source-concepts", "c.tsv", "--source-labels", "l.tsv"],
+    "eval": ["--index", "index", "--queries", "q.tsv"],
+    "serve": ["--index", "index"],
+}
+
+
+class TestConfigFlags:
+    """A config's values reach the parsed flags of every command they feed,
+    with their types, and an explicit flag still wins."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "_COMMANDS",
+                            {name: lambda args: parsed.append(args) or 0
+                             for name in cli._COMMANDS})
+        return parsed
+
+    def test_every_key_is_covered(self, tmp_path):
+        assert set(config_values(tmp_path)) == set(config_keys)
+        assert set(OTHER_FLAGS) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(OTHER_FLAGS))
+    def test_values_reach_the_command(self, tmp_path, parsed, command):
+        values = config_values(tmp_path)
+        conf = write_config(tmp_path / "pipe.conf", values)
+        fed = {config_flag(key): value for key, value in values.items()
+               if command in config_keys[key][1]}
+        assert main([command, "--config", str(conf), *OTHER_FLAGS[command]]) == 0
+        for flag, value in fed.items():
+            got = getattr(parsed[-1], flag)
+            assert (got, type(got)) == (value, type(value)), flag
+
+        overrides = {flag: value + ("-x" if isinstance(value, str) else 1)
+                     for flag, value in fed.items()}
+        explicit = [arg for flag, value in overrides.items() for arg in (f"--{flag}", str(value))]
+        assert main([command, "--config", str(conf), *OTHER_FLAGS[command], *explicit]) == 0
+        for flag, value in overrides.items():
+            got = getattr(parsed[-1], flag)
+            assert (got, type(got)) == (value, type(value)), flag
+
+    def test_values_starting_with_a_dash(self, tmp_path, parsed):
+        conf = write_config(tmp_path / "pipe.conf",
+                            {"paths.out": "-out", "seeds.triplets": -3, "train.margin": -0.5})
+        assert main(["triplets", "--config", str(conf), *ontology_args()]) == 0
+        assert (parsed[-1].out, parsed[-1].seed) == ("-out", -3)
+        assert main(["train", "--config", str(conf), "--triplets", "train.tsv"]) == 0
+        assert (parsed[-1].out, parsed[-1].margin) == ("-out", -0.5)
+
+
+def write_config(path, values):
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()),
+                    encoding="utf-8")
+    return path
 
 
 def _truncate(path):

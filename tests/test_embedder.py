@@ -1,3 +1,5 @@
+import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -259,6 +261,29 @@ class TestPrecomputedFile:
         path.write_text("x\t1 0\ny\t1 0 0\n", encoding="utf-8")
         with pytest.raises(InconsistentDimension):
             load_precomputed(path)
+
+
+@pytest.mark.parametrize("load, content", [
+    (load_word_vectors, "alpha 1 0\nalpha 0 1\n"),
+    (load_precomputed, "alpha\t1 0\nalpha\t0 1\n"),
+], ids=["wordvec", "precomputed"])
+def test_duplicate_key_last_wins_and_is_logged(tmp_path, caplog, load, content):
+    path = tmp_path / "vectors.txt"
+    path.write_text(content, encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="ontosearch.embedder"):
+        enc = load(path)
+    np.testing.assert_array_equal(enc.embed("alpha"), [0.0, 1.0])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"duplicate vector for 'alpha' at {path}:2, last wins"]
+
+
+@pytest.mark.parametrize("load", [load_word_vectors, load_precomputed],
+                         ids=["wordvec", "precomputed"])
+def test_file_without_rows(tmp_path, load):
+    path = tmp_path / "vectors.txt"
+    path.write_text("\n\n", encoding="utf-8")
+    with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}: no vector rows$"):
+        load(path)
 
 
 class TestEncoderContainer:

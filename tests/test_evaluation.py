@@ -411,6 +411,14 @@ class TestQueryFile:
         with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:2: "):
             read_queries(path)
 
+    @pytest.mark.parametrize("row, got", [("q2\tweak", 2), ("q2\tweak\tfatigue\tx", 4)])
+    def test_row_with_wrong_field_count(self, tmp_path, row, got):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"# queries\n\nq1\ttired\tfatigue\n{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:4: expected 3 "
+                                                f"tab-separated fields, got {got}$"):
+            read_queries(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EvalQuery(query_id="x", relevant_ids=frozenset({"a"}))
