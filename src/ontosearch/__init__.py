@@ -6,6 +6,17 @@ BM25 keyword baseline with Hits@K, relation-gain nDCG, MRR, overlap-degree
 buckets and paired t-tests.
 """
 
+import os
+
+# numpy's OpenBLAS keeps an idle worker thread polling for about 2**28
+# cycles (~0.1 s) after every threaded call, so a process that queries
+# every few ms keeps a CPU busy doing nothing.  At 4 an idle worker sleeps
+# at once and is woken for the next call; the thread count and the row
+# split, and so every score bit, stay as they are.  This must run before
+# numpy loads OpenBLAS, so it takes effect only where this package is
+# imported first; a value already in the environment wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .config import PipelineConfig
 from .embedder import (
     PrecomputedEncoder,

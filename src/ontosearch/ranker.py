@@ -262,8 +262,18 @@ def search_concept(
     index: VectorIndex, query_labels: list[str], k: int, encoder: Encoder
 ) -> list[RankedHit]:
     """Concept-to-concept search: one text search per query label, with
-    per-target-concept MAX aggregation across the labels."""
-    return _search(index, query_labels, k, lambda text: index.score(encoder.embed(text)))
+    per-target-concept MAX aggregation across the labels.  A text whose
+    embedding, or its norm, overflows raises ``UsageError`` naming it; an
+    embedding that is already NaN or infinite is scored as it is."""
+
+    def score(text: str) -> np.ndarray:
+        with np.errstate(over="raise"):
+            try:
+                return index.score(encoder.embed(text))
+            except FloatingPointError:
+                raise UsageError(f"the embedding of query {text!r} overflows") from None
+
+    return _search(index, query_labels, k, score)
 
 
 # --- BM25 index -----------------------------------------------------------------

@@ -194,7 +194,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._answer(self._post)
 
     def log_message(self, format, *args):  # quiet by default
-        logger.debug("%s - %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s - %s", self.address_string(), format % args)
 
 
 def make_server(

@@ -519,6 +519,35 @@ def test_index_model_that_overflows(tmp_path, encoder):
     assert not (tmp_path / "index").exists()
 
 
+@pytest.fixture
+def overflowing_query_index(tmp_path):
+    """A word-vector index on the asthenia fixture whose ``zzz`` token is
+    finite but overflows a norm, and overflows a mean when repeated; no
+    label holds it, so the build succeeds."""
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("zzz 1e308 1e308\nasthenia 1 0\nfatigue 0 1\n", encoding="utf-8")
+    index_dir = tmp_path / "index"
+    assert main(["index", *ontology_args(), "--word-vectors", str(vectors),
+                 "--out", str(index_dir)]) == 0
+    return index_dir
+
+
+@pytest.mark.parametrize("text", ["zzz", "zzz zzz", "asthenia zzz"])
+def test_query_whose_embedding_overflows(overflowing_query_index, text):
+    """One JSON line on stderr naming the query, no numpy warning and no
+    NaN score on stdout, exit 2."""
+    result = subprocess.run(
+        [sys.executable, "-m", "ontosearch", "query", "--index", str(overflowing_query_index),
+         "--q", text],
+        capture_output=True, text=True, check=False, env=package_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == "" and result.stderr.count("\n") == 1, result.stderr
+    error = json.loads(result.stderr)
+    assert error["error"] == "app.UsageError"
+    assert repr(text) in error["message"]
+
+
 # every config key, with a value of its type; the paths.* input files exist
 def config_values(tmp_path):
     stop = tmp_path / "stop.txt"

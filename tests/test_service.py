@@ -257,6 +257,34 @@ class TestMatch:
         assert json.loads(answer)["error"] == "app.UsageError"
 
 
+@pytest.fixture(scope="module")
+def overflow_served(tmp_path_factory):
+    """A word-vector index whose ``zzz`` token overflows a query's norm."""
+    tmp_path = tmp_path_factory.mktemp("overflow")
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("zzz 1e308 1e308\nasthenia 1 0\nfatigue 0 1\n", encoding="utf-8")
+    assert main(["index", "--concepts", str(FIG / "concepts.tsv"),
+                 "--labels", str(FIG / "labels.tsv"), "--relations", str(FIG / "relations.tsv"),
+                 "--word-vectors", str(vectors), "--out", str(tmp_path / "index")]) == 0
+    server = make_server(SearchService(store.load_bundle(tmp_path / "index")))
+    start_in_thread(server)
+    host, port = server.socket.getsockname()
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.mark.parametrize("text", ["zzz", "zzz zzz"])
+def test_query_whose_embedding_overflows_is_400(overflow_served, text):
+    """/search and /match answer 400 naming the query, never a NaN score."""
+    for status, answer in (get(f"{overflow_served}/search?{urlencode({'q': text})}"),
+                           post(f"{overflow_served}/match", {"labels": ["Asthenia", text]})):
+        assert status == 400, answer
+        error = json.loads(answer)
+        assert error["error"] == "app.UsageError"
+        assert repr(text) in error["message"]
+
+
 def post_raw(base, content_length: str, body: bytes = b""):
     """POST /match with a hand-written Content-Length header."""
     host, port = base.removeprefix("http://").split(":")
