@@ -58,11 +58,12 @@ def _ontology_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ontosearch", description=__doc__)
+    # no abbreviations, so argparse spells --config exactly as _extract_config does
+    parser = _Parser(prog="ontosearch", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value config file")
         return p
 
@@ -282,13 +283,12 @@ def _cmd_eval(args) -> int:
     report = evaluation.evaluate_run(
         queries, handle, bundle.graph, k_list=k_list, stopwords=stopwords
     )
-    stat_k = 10 if 10 in k_list else max(k_list)
     for baseline_path in args.baseline_runs or ():
         with open(baseline_path, encoding="utf-8") as fh:
             try:
                 significance = evaluation.significance_against(
                     report, json.load(fh), Path(baseline_path).name,
-                    stat=args.stat, k=stat_k,
+                    stat=args.stat, k=report.bucket_hits_k,
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(f"bad --baseline-run {baseline_path!r}: "
@@ -332,8 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         if config is not None:  # its values act as flags ahead of the command line's own
             argv[1:1] = [f"--{k}={v}" for k, v in config.defaults_for(argv[0]).items()]
         args = build_parser().parse_args(argv)
-        if config is not None:
-            config.check_paths(args.command)
         return _COMMANDS[args.command](args)
     except (OntoSearchError, OSError) as exc:
         if isinstance(exc, OSError):

@@ -1,8 +1,9 @@
 """Pipeline configuration file: flat ``section.key = value`` lines.
 
 A config file's values act as CLI flags ahead of the command line's own,
-so explicit flags always win.  The format is deliberately trivial (one
-assignment per line, ``#`` comments, UTF-8) and round-trips through load/save.
+so explicit flags always win, and a value is checked only by the command
+that uses it, as its flag would be.  The format is deliberately trivial
+(one assignment per line, ``#`` comments, UTF-8).
 
 Recognised keys and the flags they feed:
 
@@ -26,8 +27,7 @@ from .errors import UsageError
 from .npzio import read_lines
 
 # key -> (value type, the subcommands whose flag it feeds).  The flag is
-# the key's name after its section, except that seeds.* keys feed --seed;
-# the paths.* keys other than paths.out name input files.
+# the key's name after its section, except that seeds.* keys feed --seed.
 _KEYS = {
     "paths.concepts": (str, ("ingest", "triplets", "index")),
     "paths.labels": (str, ("ingest", "triplets", "index")),
@@ -86,25 +86,7 @@ class PipelineConfig:
                 ) from None
         return cls(values)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key in sorted(self.values):
-                fh.write(f"{key} = {self.values[key]}\n")
-
-    def _keys_for(self, command: str) -> list[str]:
-        """The keys of this config that feed a flag of ``command``."""
-        return [key for key, (_, commands) in _KEYS.items()
-                if command in commands and key in self.values]
-
     def defaults_for(self, command: str) -> dict[str, object]:
         """Flag defaults this config contributes to one subcommand."""
-        return {_flag(key): self.values[key] for key in self._keys_for(command)}
-
-    def check_paths(self, command: str) -> None:
-        """Referenced input paths must exist when the command starts."""
-        for key in self._keys_for(command):
-            if key.startswith("paths.") and key != "paths.out":
-                if not Path(str(self.values[key])).exists():
-                    raise UsageError(
-                        f"config path {key} = {self.values[key]} does not exist"
-                    )
+        return {_flag(key): self.values[key] for key, (_, commands) in _KEYS.items()
+                if command in commands and key in self.values}

@@ -143,11 +143,14 @@ class SubwordEmbedder:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(parts)
 
-    def embed(self, text: str) -> np.ndarray:
-        ids = self.features(text)
+    def pool(self, ids: np.ndarray) -> np.ndarray:
+        """Mean of the table rows ``ids``; the zero vector when there are none."""
         if ids.size == 0:
             return np.zeros(self.dim, dtype=np.float64)
         return self.table[ids].mean(axis=0)
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.pool(self.features(text))
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -21,6 +22,7 @@ from .errors import (
     LengthMismatch,
     MalformedLine,
     TooFewPairs,
+    UnknownConceptId,
     UsageError,
 )
 from .npzio import read_rows
@@ -285,11 +287,7 @@ def bucketize_by_overlap(
         overlap = row.overlap_degree
         if overlap is None:
             continue
-        index = len(buckets) - 1
-        for i in range(len(buckets)):
-            if buckets[i].lower <= overlap < buckets[i].upper:
-                index = i
-                break
+        index = min(bisect_right(BUCKET_EDGES, overlap), len(buckets)) - 1
         row.bucket = index
         buckets[index].query_ids.append(row.query_id)
         sums[index] += row.hits.get(k, 0)
@@ -314,11 +312,17 @@ def evaluate_run(
 
     Overlap degree is computed for text queries only (best value across
     several truth concepts); a query that is all stop-words records no
-    overlap instead of failing the run.
+    overlap instead of failing the run.  Every relevant id must name a
+    concept of ``graph``, checked for all queries before the first runs.
     """
     k_list = sorted(set(k_list))
     if not k_list or k_list[0] < 1:
         raise UsageError(f"every k must be >= 1, got {k_list}")
+    for query in queries:
+        for cid in sorted(query.relevant_ids):
+            if cid not in graph:
+                raise UnknownConceptId(
+                    f"query {query.query_id!r}: unknown relevant concept id {cid!r}")
     k_max = max(k_list)
     rows: list[PerQueryResult] = []
     for query in queries:
@@ -430,5 +434,7 @@ def read_queries(path: str | Path, mode: str = "text") -> list[EvalQuery]:
             queries.append(EvalQuery(qid, relevant_ids, query_text=body))
         else:
             labels = tuple(x for x in body.split("|") if x)
+            if not labels:
+                raise MalformedLine(f"{path}:{lineno}: no query label")
             queries.append(EvalQuery(qid, relevant_ids, query_labels=labels))
     return queries

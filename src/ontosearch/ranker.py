@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedder import Encoder, all_finite, tokenize
+from .embedder import _ZERO_NORM_EPS, Encoder, all_finite, tokenize
 from .errors import (
     EmptyQueryConcept,
     MalformedLine,
@@ -38,7 +38,6 @@ from .errors import (
 from .npzio import decoding, read_lines, save_arrays
 from .ontology import OntologyGraph
 
-_ZERO_NORM_EPS = 1e-12
 _NONE = np.intp(np.iinfo(np.intp).max)  # above every row and text position
 BM25_K1, BM25_B = 1.2, 0.75  # default BM25 term saturation and length normalisation
 

@@ -117,15 +117,12 @@ def triplet_loss_gradients(
     return d_va, d_vp, d_vn
 
 
-def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset, margin: float) -> float:
+def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset,
+                  bags: dict[str, np.ndarray], margin: float) -> float:
     total = 0.0
     for entry in dataset.entries:
-        total += triplet_loss(
-            model.embed(entry.anchor),
-            model.embed(entry.positive),
-            model.embed(entry.negative),
-            margin,
-        )
+        va, vp, vn = (model.pool(bags[t]) for t in (entry.anchor, entry.positive, entry.negative))
+        total += triplet_loss(va, vp, vn, margin)
     return total / len(dataset.entries)
 
 
@@ -206,8 +203,9 @@ def train(
     step = 0
 
     # Feature bags never change during training; compute each text's once.
+    dev_entries = dev_set.entries if dev_set is not None else []
     bags: dict[str, np.ndarray] = {}
-    for entry in train_set.entries:
+    for entry in train_set.entries + dev_entries:
         for text in (entry.anchor, entry.positive, entry.negative):
             if text not in bags:
                 bags[text] = model.features(text)
@@ -223,9 +221,7 @@ def train(
                 fa = bags[entry.anchor]
                 fp = bags[entry.positive]
                 fn = bags[entry.negative]
-                va = model.table[fa].mean(axis=0) if fa.size else np.zeros(model.dim)
-                vp = model.table[fp].mean(axis=0) if fp.size else np.zeros(model.dim)
-                vn = model.table[fn].mean(axis=0) if fn.size else np.zeros(model.dim)
+                va, vp, vn = model.pool(fa), model.pool(fp), model.pool(fn)
                 epoch_loss += triplet_loss(va, vp, vn, cfg.margin)
                 d_va, d_vp, d_vn = triplet_loss_gradients(va, vp, vn, cfg.margin)
                 for ids, dv in ((fa, d_va), (fp, d_vp), (fn, d_vn)):
@@ -238,9 +234,7 @@ def train(
                 lr *= step / warmup_steps
             adam.step(model.table, grad, len(batch), step, lr)
 
-        dev_loss = None
-        if dev_set is not None and dev_set.entries:
-            dev_loss = _dataset_loss(model, dev_set, cfg.margin)
+        dev_loss = _dataset_loss(model, dev_set, bags, cfg.margin) if dev_entries else None
         history.epochs.append(
             EpochStats(epoch=epoch, train_loss=epoch_loss / n, dev_loss=dev_loss)
         )

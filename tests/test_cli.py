@@ -272,6 +272,27 @@ class TestEval:
         assert report["aggregates"]["hits@1"] == 1.0
         assert report["per_query"][0]["overlap_degree"] is None
 
+    @pytest.mark.parametrize("mode, body", [("concept", "foo|bar"), ("text", "foo")])
+    @pytest.mark.parametrize("ranker", ["vector", "bm25"])
+    def test_unknown_relevant_id(self, capsys, built_index, tmp_path, mode, body, ranker):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"q0\tFatigue\tfatigue\nq1\t{body}\tNOPE\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--index", str(built_index), "--queries", str(path),
+                             "--mode", mode, "--ranker", ranker)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "ontology.UnknownConceptId"
+        assert "'q1'" in error["message"] and "'NOPE'" in error["message"]
+
+    def test_concept_query_without_labels(self, capsys, built_index, tmp_path):
+        path = tmp_path / "qc.tsv"
+        path.write_text("q0\tFatigue\tfatigue\nq1\t|\tasthenia\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--index", str(built_index), "--queries", str(path),
+                             "--mode", "concept")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "io.MalformedLine",
+                                   "message": f"{path}:2: no query label"}
+
     def test_reciprocal_rank_stat(self, capsys, built_index, tmp_path):
         queries = self.queries_file(tmp_path)
         base = tmp_path / "base.json"
@@ -351,6 +372,17 @@ class TestBm25OnlyIndex:
 
 
 class TestArgumentValidation:
+    @pytest.mark.parametrize("flag, value", [("--conf", "k.conf"), ("--ran", "bm25")])
+    def test_abbreviated_flag_is_refused(self, capsys, built_index, tmp_path, monkeypatch,
+                                         flag, value):
+        monkeypatch.chdir(tmp_path)
+        Path("k.conf").write_text("ranker.k = 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "query", "--index", str(built_index), "--q", "fatigue",
+                             flag, value)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "app.UsageError"
+        assert "unrecognized arguments" in json.loads(err)["message"]
+
     def test_query_k_zero(self, capsys, built_index):
         code, _, err = run(capsys, "query", "--index", str(built_index),
                            "--q", "x", "--k", "0")

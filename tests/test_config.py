@@ -20,7 +20,7 @@ def write_config(path, **entries):
 
 
 class TestPipelineConfig:
-    def test_round_trip(self, tmp_path):
+    def test_load_gives_typed_values(self, tmp_path):
         src = write_config(
             tmp_path / "a.conf",
             **{
@@ -31,12 +31,14 @@ class TestPipelineConfig:
                 "serve.bind": "127.0.0.1:9999",
             },
         )
-        cfg = PipelineConfig.load(src)
-        cfg.save(tmp_path / "b.conf")
-        again = PipelineConfig.load(tmp_path / "b.conf")
-        assert again.values == cfg.values
-        assert again.values["train.lr"] == 0.001
-        assert again.values["ranker.k"] == 5
+        values = PipelineConfig.load(src).values
+        assert [(k, v, type(v)) for k, v in sorted(values.items())] == [
+            ("paths.concepts", str(FIG / "concepts.tsv"), str),
+            ("ranker.k", 5, int),
+            ("serve.bind", "127.0.0.1:9999", str),
+            ("train.epochs", 3, int),
+            ("train.lr", 0.001, float),
+        ]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "bad.conf", **{"nope.key": 1})
@@ -54,13 +56,6 @@ class TestPipelineConfig:
         assert cfg.defaults_for("query") == {"k": 7}
         assert cfg.defaults_for("train") == {"epochs": 2, "seed": 3}
         assert cfg.defaults_for("eval") == {"stopwords": "stop.txt"}
-
-    def test_missing_path_checked_at_start(self, tmp_path):
-        cfg = PipelineConfig({"paths.concepts": str(tmp_path / "absent.tsv")})
-        with pytest.raises(UsageError):
-            cfg.check_paths("ingest")
-        # an output path is made by the command, so it need not exist
-        PipelineConfig({"paths.out": str(tmp_path / "new")}).check_paths("triplets")
 
 
 class TestConfigDrivenCli:
@@ -104,3 +99,28 @@ class TestConfigDrivenCli:
         err = capsys.readouterr().err
         assert code == 1 or code == 2
         assert "error" in json.loads(err)
+
+    def missing_concepts_config(self, tmp_path):
+        return write_config(
+            tmp_path / "bad.conf",
+            **{
+                "paths.concepts": tmp_path / "absent.tsv",
+                "paths.labels": FIG / "labels.tsv",
+                "paths.relations": FIG / "relations.tsv",
+            },
+        )
+
+    def test_explicit_flag_wins_over_a_missing_config_path(self, capsys, tmp_path):
+        conf = self.missing_concepts_config(tmp_path)
+        assert main(["ingest", "--config", str(conf),
+                     "--concepts", str(FIG / "concepts.tsv")]) == 0
+        assert json.loads(capsys.readouterr().out)["concepts"] == 5
+
+    def test_missing_config_path_is_reported_like_a_missing_flag_path(self, capsys, tmp_path):
+        conf = self.missing_concepts_config(tmp_path)
+        assert main(["ingest", "--config", str(conf)]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)
+        assert captured.out == ""
+        assert error["error"] == "io.FileNotFound"
+        assert "absent.tsv" in error["message"]

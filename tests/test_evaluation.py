@@ -13,6 +13,7 @@ from ontosearch.errors import (
     LengthMismatch,
     MalformedLine,
     TooFewPairs,
+    UnknownConceptId,
 )
 from ontosearch.evaluation import (
     EvalQuery,
@@ -194,6 +195,11 @@ class TestBuckets:
         assert buckets[1].query_ids == ["q1"]
         assert buckets[4].query_ids == ["q2"]  # 1.0 lands in the closed last bucket
         assert rows[0].bucket == 0 and rows[1].bucket == 1 and rows[2].bucket == 4
+
+    def test_each_lower_edge_opens_its_bucket(self):
+        rows = self.rows([0.0, 0.19999, 0.2, 0.4, 0.6, 0.79999, 0.8, 0.99999, 1.0])
+        bucketize_by_overlap(rows)
+        assert [row.bucket for row in rows] == [0, 0, 1, 2, 3, 3, 4, 4, 4]
 
     def test_empty_bucket_mean_absent(self):
         buckets = bucketize_by_overlap(self.rows([0.1]))
@@ -386,6 +392,23 @@ class TestEvaluateRun:
         assert row.overlap_degree == pytest.approx(0.5)  # lassitude shared
         assert report.buckets[row.bucket].query_ids == ["q1"]
 
+    @pytest.mark.parametrize("query", [
+        EvalQuery("q2", frozenset({"fatigue", "NOPE"}), query_labels=("Fatigue",)),
+        EvalQuery("q2", frozenset({"NOPE"}), query_text="tired"),
+    ])
+    def test_unknown_relevant_id_fails_before_any_query_runs(self, asthenia_graph, query):
+        queries = [EvalQuery("q1", frozenset({"fatigue"}), query_text="tired"), query]
+        asked = []
+
+        def ranker(query, k):
+            asked.append(query.query_id)
+            return []
+
+        with pytest.raises(UnknownConceptId, match="^query 'q2': unknown relevant "
+                                                   "concept id 'NOPE'$"):
+            evaluate_run(queries, ranker, asthenia_graph)
+        assert asked == []
+
 
 class TestQueryFile:
     def test_text_mode(self, tmp_path):
@@ -418,6 +441,13 @@ class TestQueryFile:
         with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:4: expected 3 "
                                                 f"tab-separated fields, got {got}$"):
             read_queries(path)
+
+    @pytest.mark.parametrize("body", ["", "|", "||"])
+    def test_concept_row_without_label(self, tmp_path, body):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"q1\tFatigue\tfatigue\nq2\t{body}\tfatigue\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:2: no query label$"):
+            read_queries(path, mode="concept")
 
     def test_validation(self):
         with pytest.raises(ValueError):
