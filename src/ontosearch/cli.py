@@ -137,14 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _extract_config(argv: list[str]) -> PipelineConfig | None:
+    paths = []
     for i, token in enumerate(argv):
         if token == "--config":
             if i + 1 >= len(argv):
                 raise UsageError("--config needs a file path")
-            return PipelineConfig.load(argv[i + 1])
-        if token.startswith("--config="):
-            return PipelineConfig.load(token.split("=", 1)[1])
-    return None
+            paths.append(argv[i + 1])
+        elif token.startswith("--config="):
+            paths.append(token.split("=", 1)[1])
+    if len(paths) > 1:
+        raise UsageError("--config given more than once")
+    return PipelineConfig.load(paths[0]) if paths else None
 
 
 def _cmd_ingest(args) -> int:

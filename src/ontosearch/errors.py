@@ -91,6 +91,14 @@ class EmptyDataset(OntoSearchError):
     code = "embedder.EmptyDataset"
 
 
+# --- train ------------------------------------------------------------------
+
+class Diverged(OntoSearchError):
+    """Training whose loss or table left the finite floats."""
+
+    code = "train.Diverged"
+
+
 # --- ranker -----------------------------------------------------------------
 
 class EmptyQueryConcept(OntoSearchError):

@@ -68,8 +68,10 @@ def read_rows(path: str | Path, columns: int) -> Iterator[tuple[int, list[str]]]
 @contextmanager
 def decoding(path: str | Path, what: str):
     """Report a ``what`` at ``path`` that is not valid JSON or npz, is
-    truncated, or lacks a key or array as ``io.MalformedLine`` naming it."""
+    truncated, lacks a key or array, or names a zip compression method
+    (``NotImplementedError``) as ``io.MalformedLine`` naming it."""
     try:
         yield
-    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except (EOFError, KeyError, NotImplementedError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
         raise MalformedLine(f"{path}: corrupt {what} ({type(exc).__name__}: {exc})") from None

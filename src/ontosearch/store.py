@@ -15,6 +15,13 @@ A directory written by ``save_bundle`` holds:
 The ontology TSVs alone record which index rows exist and in what order:
 both index files hold rows only and are read against the loaded graph.
 A file that cannot be decoded is reported as ``io.MalformedLine`` naming it.
+
+``save_bundle`` writes a whole bundle in this order, into a new or an
+existing directory: it first removes ``meta.json`` and every index file,
+then writes the ontology TSVs and the index files this build has, and
+``meta.json`` last.  So a directory holds no index file of an earlier
+build, and one whose write stopped part-way has no ``meta.json`` and is
+refused by ``load_bundle``.
 """
 
 from __future__ import annotations
@@ -68,14 +75,16 @@ def save_bundle(
     encoder: Encoder | None = None,
     bm25: Bm25Index | None = None,
 ) -> None:
+    if vector is not None and encoder is None:
+        raise UsageError("a vector index needs its encoder saved alongside")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("meta.json", "vector.npz", "encoder.npz", "bm25.json"):
+        (out / name).unlink(missing_ok=True)
     save_ontology(
         graph, out / "concepts.tsv", out / "labels.tsv", out / "relations.tsv"
     )
     if vector is not None:
-        if encoder is None:
-            raise UsageError("a vector index needs its encoder saved alongside")
         save_vector_index(vector, out / "vector.npz")
         save_encoder(encoder, out / "encoder.npz")
     if bm25 is not None:

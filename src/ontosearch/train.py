@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedder import SubwordEmbedder
-from .errors import DimensionMismatch, EmptyDataset, UsageError
+from .embedder import SubwordEmbedder, all_finite
+from .errors import DimensionMismatch, Diverged, EmptyDataset, UsageError
 from .rng import SplitMix64
 from .triplets import TripletDataset
 
@@ -28,6 +28,11 @@ _DISTANCE_EPS = 1e-12
 # both moments, table rows, two scratch buffers; 128 KiB each at dim 64)
 # stay in cache across the update's dozen elementwise passes.
 _ADAM_BLOCK_ROWS = 256
+# Above this share of live rows (see ``_Adam``) the step walks the whole
+# table.  At 32,768 x 64 on 2 CPUs a whole-table step took 23-24 ms at any
+# share, a live-row step 2.2 ms at 5% live, 21.8 ms at 40% and 25.8 ms at
+# 50%: the two cost the same at about 45%.
+_ADAM_LIVE_SHARE = 0.4
 # Adam's moment decay rates and denominator guard, the textbook defaults.
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -127,48 +132,73 @@ def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset,
 
 
 class _Adam:
-    """Dense Adam over the whole table, run one block of rows at a time
-    into scratch buffers allocated once.
+    """Adam over the table, run one block of rows at a time into scratch
+    buffers allocated once.
 
     Per element it performs the operations of the textbook update in the
     same order -- ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``, then
     ``table -= (lr * m_hat) / (sqrt(v_hat) + eps)`` -- so the result is bit
     for bit that of the whole-array expressions.
+
+    Only live rows, those some gradient has reached, need the update: a row
+    whose g, m and v are all +0.0 keeps them at +0.0 and its step is
+    ``(0/c1*lr) / (sqrt(0/c2) + eps) == +0.0``, and ``t - 0.0`` is ``t``
+    bit for bit.  So while few rows are live the step gathers them into
+    scratch, updates and scatters them back; above ``_ADAM_LIVE_SHARE`` it
+    walks the whole table in place, which is then the cheaper of the two.
     """
 
     def __init__(self, shape: tuple[int, int]):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         rows = min(shape[0], _ADAM_BLOCK_ROWS)
-        self._a = np.empty((rows, shape[1]))
-        self._b = np.empty((rows, shape[1]))
+        self._a, self._b, self._g, self._m, self._v, self._t = (
+            np.empty((rows, shape[1])) for _ in range(6))
 
-    def step(self, table: np.ndarray, grad: np.ndarray, batch: int,
-             step: int, lr: float) -> None:
+    def step(self, table: np.ndarray, grad: np.ndarray, live: np.ndarray,
+             batch: int, step: int, lr: float) -> None:
         """Apply the mean gradient ``grad / batch``, then zero ``grad`` for
-        the next batch."""
-        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-        c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
-        for lo in range(0, table.shape[0], _ADAM_BLOCK_ROWS):
-            rows = slice(lo, lo + _ADAM_BLOCK_ROWS)
-            g, m, v = grad[rows], self.m[rows], self.v[rows]
-            a, b = self._a[:len(g)], self._b[:len(g)]
-            g /= batch
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
-            m += a
-            v *= b2
-            np.square(g, out=a)
-            a *= 1.0 - b2
-            v += a
-            np.divide(m, c1, out=a)
-            a *= lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += _ADAM_EPS
-            a /= b
-            table[rows] -= a
-            g.fill(0.0)
+        the next batch.  ``live`` marks every row whose gradient may be
+        nonzero, now or at any earlier step."""
+        c1, c2 = 1.0 - _ADAM_BETA1 ** step, 1.0 - _ADAM_BETA2 ** step
+        ids = np.flatnonzero(live)
+        if ids.size > _ADAM_LIVE_SHARE * table.shape[0]:
+            for lo in range(0, table.shape[0], _ADAM_BLOCK_ROWS):
+                rows = slice(lo, lo + _ADAM_BLOCK_ROWS)
+                g = grad[rows]
+                self._update(table[rows], g, self.m[rows], self.v[rows],
+                             batch, c1, c2, lr)
+                g.fill(0.0)
+            return
+        for lo in range(0, ids.size, _ADAM_BLOCK_ROWS):
+            rows = ids[lo:lo + _ADAM_BLOCK_ROWS]
+            n = rows.size
+            t, g, m, v = self._t[:n], self._g[:n], self._m[:n], self._v[:n]
+            for full, part in ((table, t), (grad, g), (self.m, m), (self.v, v)):
+                np.take(full, rows, axis=0, out=part)
+            self._update(t, g, m, v, batch, c1, c2, lr)
+            table[rows], self.m[rows], self.v[rows] = t, m, v
+            grad[rows] = 0.0
+
+    def _update(self, t, g, m, v, batch, c1, c2, lr) -> None:
+        """The update of the rows ``t`` in place, with their gradient ``g``
+        and moments ``m`` and ``v`` (also updated in place)."""
+        a, b = self._a[:len(g)], self._b[:len(g)]
+        g /= batch
+        m *= _ADAM_BETA1
+        np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
+        m += a
+        v *= _ADAM_BETA2
+        np.square(g, out=a)
+        a *= 1.0 - _ADAM_BETA2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        a /= b
+        t -= a
 
 
 def train(
@@ -185,6 +215,10 @@ def train(
     over the first ``warmup_fraction`` of all steps, then stays constant.
     Per-epoch mean train loss and dev loss land in the returned history.
     Everything is deterministic given ``cfg.seed``.
+
+    A loss that is not finite, or a step whose arithmetic overflows or
+    yields NaN, raises ``train.Diverged`` naming the epoch and step; the
+    table is then left part-trained.
     """
     if not train_set.entries:
         raise EmptyDataset("training set is empty")
@@ -200,6 +234,7 @@ def train(
 
     adam = _Adam(model.table.shape)
     grad = np.zeros_like(model.table)
+    live = np.zeros(model.table.shape[0], dtype=bool)  # rows some gradient reached
     step = 0
 
     # Feature bags never change during training; compute each text's once.
@@ -210,32 +245,45 @@ def train(
             if text not in bags:
                 bags[text] = model.features(text)
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = list(range(n))
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        for b in range(n_batches):
-            batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            for idx in batch:
-                entry = train_set.entries[idx]
-                fa = bags[entry.anchor]
-                fp = bags[entry.positive]
-                fn = bags[entry.negative]
-                va, vp, vn = model.pool(fa), model.pool(fp), model.pool(fn)
-                epoch_loss += triplet_loss(va, vp, vn, cfg.margin)
-                d_va, d_vp, d_vn = triplet_loss_gradients(va, vp, vn, cfg.margin)
-                for ids, dv in ((fa, d_va), (fp, d_vp), (fn, d_vn)):
-                    if ids.size:
-                        np.add.at(grad, ids, dv / ids.size)
+    def finite(loss: float) -> float:
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"loss is {loss}")
+        return loss
 
-            step += 1
-            lr = cfg.learning_rate
-            if warmup_steps > 0 and step <= warmup_steps:
-                lr *= step / warmup_steps
-            adam.step(model.table, grad, len(batch), step, lr)
+    try:
+        # an overflow or NaN anywhere in a step stops training, not just warns
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(1, cfg.epochs + 1):
+                order = list(range(n))
+                rng.shuffle(order)
+                epoch_loss = 0.0
+                for b in range(n_batches):
+                    step += 1
+                    batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                    for idx in batch:
+                        entry = train_set.entries[idx]
+                        fa = bags[entry.anchor]
+                        fp = bags[entry.positive]
+                        fn = bags[entry.negative]
+                        va, vp, vn = model.pool(fa), model.pool(fp), model.pool(fn)
+                        epoch_loss += finite(triplet_loss(va, vp, vn, cfg.margin))
+                        d_va, d_vp, d_vn = triplet_loss_gradients(va, vp, vn, cfg.margin)
+                        for ids, dv in ((fa, d_va), (fp, d_vp), (fn, d_vn)):
+                            if ids.size:
+                                np.add.at(grad, ids, dv / ids.size)
+                                live[ids] = True
 
-        dev_loss = _dataset_loss(model, dev_set, bags, cfg.margin) if dev_entries else None
-        history.epochs.append(
-            EpochStats(epoch=epoch, train_loss=epoch_loss / n, dev_loss=dev_loss)
-        )
+                    lr = cfg.learning_rate
+                    if warmup_steps > 0 and step <= warmup_steps:
+                        lr *= step / warmup_steps
+                    adam.step(model.table, grad, live, len(batch), step, lr)
+
+                dev_loss = (finite(_dataset_loss(model, dev_set, bags, cfg.margin))
+                            if dev_entries else None)
+                history.epochs.append(EpochStats(
+                    epoch=epoch, train_loss=finite(epoch_loss / n), dev_loss=dev_loss))
+        if not all_finite(model.table):
+            raise FloatingPointError("the table has non-finite entries")
+    except FloatingPointError as exc:
+        raise Diverged(f"training diverged at epoch {epoch}, step {step}: {exc}") from None
     return model, history

@@ -1,8 +1,10 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,24 @@ class TestTrainCommand:
         summary = json.loads(out)
         assert len(summary["epochs"]) == 1
         assert model.exists()
+
+    def test_diverging_training_is_one_coded_error(self, capsys, tmp_path):
+        """An lr whose step overflows: no NaN loss, no warning, no model."""
+        trip = tmp_path / "t"
+        assert main(["triplets", *ontology_args(), "--seed", "7",
+                     "--out", str(trip)]) == 0
+        capsys.readouterr()
+        model = tmp_path / "m.npz"
+        code, out, err = run(
+            capsys, "train", "--triplets", str(trip / "train.tsv"), "--dim", "8",
+            "--epochs", "1", "--batch", "8", "--lr", "1e308", "--out", str(model),
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "train.Diverged"
+        assert "epoch 1, step 2:" in error["message"]
+        assert not model.exists()
 
 
 class TestQuery:
@@ -370,6 +390,24 @@ class TestBm25OnlyIndex:
         assert code == 2
         assert "no vector ranker" in json.loads(err)["message"]
 
+    def test_rebuild_without_bm25_drops_the_old_bm25_index(self, capsys, built_index,
+                                                           tmp_path):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text((FIG / "labels.tsv").read_text(encoding="utf-8")
+                          .replace("Lassitude", "Prostration"), encoding="utf-8")
+        args = ontology_args()
+        args[args.index("--labels") + 1] = str(labels)
+        assert main(["index", *args, "--model", str(tmp_path / "model.npz"),
+                     "--out", str(built_index)]) == 0
+        assert not (built_index / "bm25.json").exists()
+        capsys.readouterr()
+        for text in ("lassitude", "prostration"):
+            code, out, err = run(capsys, "query", "--index", str(built_index),
+                                 "--q", text, "--ranker", "bm25")
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {"error": "app.UsageError",
+                                       "message": "index has no bm25 ranker"}
+
 
 class TestArgumentValidation:
     @pytest.mark.parametrize("flag, value", [("--conf", "k.conf"), ("--ran", "bm25")])
@@ -382,6 +420,20 @@ class TestArgumentValidation:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "app.UsageError"
         assert "unrecognized arguments" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("spelling", [("--config", "a.conf", "--config", "b.conf"),
+                                          ("--config=a.conf", "--config", "b.conf"),
+                                          ("--config", "a.conf", "--config=b.conf")])
+    def test_repeated_config_is_refused(self, capsys, built_index, tmp_path, monkeypatch,
+                                        spelling):
+        monkeypatch.chdir(tmp_path)
+        Path("a.conf").write_text("ranker.k = 2\n", encoding="utf-8")
+        Path("b.conf").write_text("ranker.k = 3\n", encoding="utf-8")
+        code, out, err = run(capsys, "query", "--index", str(built_index), "--q", "fatigue",
+                             *spelling)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "app.UsageError"
+        assert "--config" in json.loads(err)["message"]
 
     def test_query_k_zero(self, capsys, built_index):
         code, _, err = run(capsys, "query", "--index", str(built_index),
@@ -708,6 +760,21 @@ def _poison_npz(name, value):
     return poison
 
 
+def _unknown_compression(path):
+    """Set every entry's compression method, in its local header and in its
+    central-directory record, to 99, which ``zipfile`` cannot decode."""
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    record = struct.unpack_from("<I", data, data.rfind(b"PK\x05\x06") + 16)[0]
+    for info in infos:
+        struct.pack_into("<H", data, info.header_offset + 8, 99)
+        struct.pack_into("<H", data, record + 10, 99)
+        names, extra, comment = struct.unpack_from("<HHH", data, record + 28)
+        record += 46 + names + extra + comment
+    path.write_bytes(bytes(data))
+
+
 def _add_label(path):
     with path.open("a", encoding="utf-8") as fh:
         fh.write("asthenia\tWeakness\n")
@@ -745,11 +812,14 @@ class TestCorruptBundle:
         ("encoder.npz", _truncate, "encoder.npz"),
         ("vector.npz", _poison_npz("rows", np.nan), "vector.npz"),
         ("encoder.npz", _poison_npz("table", np.inf), "encoder.npz"),
+        ("vector.npz", _unknown_compression, "vector.npz"),
+        ("encoder.npz", _unknown_compression, "encoder.npz"),
     ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-version-1", "bm25-k1-nan",
             "bm25-b-2", "vector-not-a-zip",
             "vector-truncated", "vector-no-rows", "vector-version-1", "label-added",
             "label-dropped", "labels-not-utf8", "encoder-not-a-zip", "encoder-truncated",
-            "vector-rows-nan", "encoder-table-inf"])
+            "vector-rows-nan", "encoder-table-inf", "vector-compression-99",
+            "encoder-compression-99"])
     def test_one_malformed_line(self, capsys, built_index, target, corrupt, named):
         corrupt(built_index / target)
         ranker = "bm25" if target == "bm25.json" else "vector"

@@ -1,3 +1,7 @@
+import math
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +9,10 @@ from hypothesis import strategies as st
 from synthdata import synthetic_ontology
 
 from ontosearch.embedder import SubwordEmbedder
-from ontosearch.errors import DimensionMismatch, EmptyDataset
+from ontosearch.errors import DimensionMismatch, Diverged, EmptyDataset
 from ontosearch.train import (
     TrainConfig,
+    _Adam,
     train,
     triplet_loss,
     triplet_loss_gradients,
@@ -184,3 +189,96 @@ class TestTrainingLoop:
             TrainConfig(warmup_fraction=1.5)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    def test_overflowing_step_is_one_coded_error(self):
+        train_set, _, _ = training_inputs()
+        model = SubwordEmbedder(bucket_count=256, dim=8, seed=4)
+        with pytest.raises(Diverged, match=r"epoch 1, step \d+: "):
+            train(model, train_set, None,
+                  TrainConfig(learning_rate=1e308, epochs=1, warmup_fraction=0.0))
+
+
+# ``ontosearch.train`` the attribute is the function; this is the module
+train_module = sys.modules[_Adam.__module__]
+
+
+def signed_zeros(rng, values):
+    """``values`` with about a fifth of its entries set to +0.0 and a fifth
+    to -0.0."""
+    pick = rng.random(values.shape)
+    values[pick < 0.2] = 0.0
+    values[pick > 0.8] = -0.0
+    return values
+
+
+def adam_run(table, steps, batch, lr, share):
+    """Run ``_Adam.step`` over ``steps``, a list of (gradient, live mask),
+    with the switch share set to ``share``; the bytes of the table, m and v."""
+    table = table.copy()
+    adam = _Adam(table.shape)
+    with mock.patch.object(train_module, "_ADAM_LIVE_SHARE", share):
+        for number, (grad, live) in enumerate(steps, start=1):
+            grad = grad.copy()
+            adam.step(table, grad, live, batch, number, lr)
+            assert not grad.any()
+    return table.tobytes(), adam.m.tobytes(), adam.v.tobytes()
+
+
+class TestAdamLiveRows:
+    @given(
+        rows=st.integers(1, 700),
+        dim=st.integers(1, 9),
+        # the live share each step grows to: none, few, either side of the switch, all
+        shares=st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.39, 0.41, 0.6, 1.0]),
+                        min_size=1, max_size=30),
+        batch=st.integers(1, 40),
+        lr=st.sampled_from([0.0, 1e-3, 0.5, 7.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_live_row_step_equals_dense_step(self, rows, dim, shares, batch, lr, seed):
+        """Whichever path runs each step, the table, m and v end with the
+        same bytes: live rows only, whole table, or the switch between them."""
+        rng = np.random.default_rng(seed)
+        table = signed_zeros(rng, rng.normal(size=(rows, dim)))
+        order = rng.permutation(rows)
+        live = np.zeros(rows, dtype=bool)
+        steps = []
+        for share in shares:
+            live[order[:math.ceil(share * rows)]] = True
+            grad = np.zeros((rows, dim))
+            reached = live & (rng.random(rows) < 0.6)  # rows this batch's gradient reaches
+            grad[reached] = signed_zeros(rng, rng.normal(size=(reached.sum(), dim)))
+            steps.append((grad, live.copy()))
+        switched = adam_run(table, steps, batch, lr, train_module._ADAM_LIVE_SHARE)
+        assert adam_run(table, steps, batch, lr, math.inf) == switched  # live rows only
+        assert adam_run(table, steps, batch, lr, -1.0) == switched      # whole table
+
+    @pytest.mark.parametrize("buckets", [512, 4096], ids=["dense-step", "live-row-step"])
+    def test_never_touched_row_keeps_its_bits(self, buckets):
+        train_set, dev_set, _ = training_inputs()
+        model = SubwordEmbedder(bucket_count=buckets, dim=4, seed=8)
+        texts = {t for e in train_set.entries + dev_set.entries
+                 for t in (e.anchor, e.positive, e.negative)}
+        touched = np.unique(np.concatenate([model.features(t) for t in texts]))
+        untouched = np.setdiff1d(np.arange(buckets), touched)[:3]
+        assert untouched.size == 3
+        model.table[untouched] = [[-0.0] * 4, [5e-324, -5e-324, 0.0, -0.0], [1e300] * 4]
+        before = model.table[untouched].tobytes()
+        adams = []
+        init = _Adam.__init__
+
+        def recording_init(self, shape):
+            adams.append(self)
+            init(self, shape)
+
+        with mock.patch.object(_Adam, "__init__", recording_init):
+            train(model, train_set, dev_set,
+                  TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=8))
+        assert model.table[untouched].tobytes() == before
+        (adam,) = adams
+        moved = np.any(adam.m != 0.0, axis=1).mean()  # about the last step's live share
+        assert (moved > train_module._ADAM_LIVE_SHARE) == (buckets == 512)
+        zeros = np.zeros((3, 4)).tobytes()  # +0.0, not -0.0
+        assert adam.m[untouched].tobytes() == zeros
+        assert adam.v[untouched].tobytes() == zeros
