@@ -28,11 +28,6 @@ _DISTANCE_EPS = 1e-12
 # both moments, table rows, two scratch buffers; 128 KiB each at dim 64)
 # stay in cache across the update's dozen elementwise passes.
 _ADAM_BLOCK_ROWS = 256
-# Above this share of live rows (see ``_Adam``) the step walks the whole
-# table.  At 32,768 x 64 on 2 CPUs a whole-table step took 23-24 ms at any
-# share, a live-row step 2.2 ms at 5% live, 21.8 ms at 40% and 25.8 ms at
-# 50%: the two cost the same at about 45%.
-_ADAM_LIVE_SHARE = 0.4
 # Adam's moment decay rates and denominator guard, the textbook defaults.
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -132,8 +127,8 @@ def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset,
 
 
 class _Adam:
-    """Adam over the table, run one block of rows at a time into scratch
-    buffers allocated once.
+    """Adam over the live rows of the table, run one block of rows at a
+    time through scratch buffers allocated once.
 
     Per element it performs the operations of the textbook update in the
     same order -- ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``, then
@@ -143,9 +138,8 @@ class _Adam:
     Only live rows, those some gradient has reached, need the update: a row
     whose g, m and v are all +0.0 keeps them at +0.0 and its step is
     ``(0/c1*lr) / (sqrt(0/c2) + eps) == +0.0``, and ``t - 0.0`` is ``t``
-    bit for bit.  So while few rows are live the step gathers them into
-    scratch, updates and scatters them back; above ``_ADAM_LIVE_SHARE`` it
-    walks the whole table in place, which is then the cheaper of the two.
+    bit for bit.  So the step gathers the live rows into scratch, updates
+    them there and scatters them back.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -162,43 +156,30 @@ class _Adam:
         nonzero, now or at any earlier step."""
         c1, c2 = 1.0 - _ADAM_BETA1 ** step, 1.0 - _ADAM_BETA2 ** step
         ids = np.flatnonzero(live)
-        if ids.size > _ADAM_LIVE_SHARE * table.shape[0]:
-            for lo in range(0, table.shape[0], _ADAM_BLOCK_ROWS):
-                rows = slice(lo, lo + _ADAM_BLOCK_ROWS)
-                g = grad[rows]
-                self._update(table[rows], g, self.m[rows], self.v[rows],
-                             batch, c1, c2, lr)
-                g.fill(0.0)
-            return
         for lo in range(0, ids.size, _ADAM_BLOCK_ROWS):
             rows = ids[lo:lo + _ADAM_BLOCK_ROWS]
             n = rows.size
+            a, b = self._a[:n], self._b[:n]
             t, g, m, v = self._t[:n], self._g[:n], self._m[:n], self._v[:n]
             for full, part in ((table, t), (grad, g), (self.m, m), (self.v, v)):
                 np.take(full, rows, axis=0, out=part)
-            self._update(t, g, m, v, batch, c1, c2, lr)
+            g /= batch
+            m *= _ADAM_BETA1
+            np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
+            m += a
+            v *= _ADAM_BETA2
+            np.square(g, out=a)
+            a *= 1.0 - _ADAM_BETA2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += _ADAM_EPS
+            a /= b
+            t -= a
             table[rows], self.m[rows], self.v[rows] = t, m, v
             grad[rows] = 0.0
-
-    def _update(self, t, g, m, v, batch, c1, c2, lr) -> None:
-        """The update of the rows ``t`` in place, with their gradient ``g``
-        and moments ``m`` and ``v`` (also updated in place)."""
-        a, b = self._a[:len(g)], self._b[:len(g)]
-        g /= batch
-        m *= _ADAM_BETA1
-        np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
-        m += a
-        v *= _ADAM_BETA2
-        np.square(g, out=a)
-        a *= 1.0 - _ADAM_BETA2
-        v += a
-        np.divide(m, c1, out=a)
-        a *= lr
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += _ADAM_EPS
-        a /= b
-        t -= a
 
 
 def train(

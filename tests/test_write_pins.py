@@ -6,8 +6,6 @@ update per step).  Any faster path must reproduce them bit for bit.
 """
 
 import hashlib
-import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from synthdata import synthetic_ontology
 
 from ontosearch.embedder import SubwordEmbedder
 from ontosearch.rng import SplitMix64
-from ontosearch.train import TrainConfig, _Adam, train
+from ontosearch.train import TrainConfig, train
 from ontosearch.triplets import generate_triplets, split_dataset
 
 
@@ -113,18 +111,3 @@ def test_training_digest(name):
     expected_table, expected_losses = TRAIN_DIGESTS[name]
     assert losses == expected_losses
     assert table_digest == expected_table
-
-
-def test_training_digest_across_the_live_share_switch():
-    """A pinned case whose Adam steps start on live rows only and end on
-    the whole table."""
-    shares = []
-    step = _Adam.step
-
-    def recording_step(self, table, grad, live, *args):
-        shares.append(live.mean())
-        step(self, table, grad, live, *args)
-
-    with mock.patch.object(_Adam, "step", recording_step):
-        assert train_case("batch1") == TRAIN_DIGESTS["batch1"]
-    assert shares[0] <= sys.modules[_Adam.__module__]._ADAM_LIVE_SHARE < shares[-1]
