@@ -26,27 +26,27 @@ from pathlib import Path
 from .errors import UsageError
 from .npzio import read_lines
 
-# key -> (value type, the subcommands whose flag it feeds).  The flag is
-# the key's name after its section, except that seeds.* keys feed --seed.
+# key -> the subcommands whose flag it feeds.  The flag is the key's name
+# after its section, except that seeds.* keys feed --seed.
 _KEYS = {
-    "paths.concepts": (str, ("ingest", "triplets", "index")),
-    "paths.labels": (str, ("ingest", "triplets", "index")),
-    "paths.relations": (str, ("ingest", "triplets", "index")),
-    "paths.stopwords": (str, ("index", "eval")),
-    "paths.out": (str, ("triplets", "train", "index")),
-    "train.dim": (int, ("train",)),
-    "train.buckets": (int, ("train",)),
-    "train.epochs": (int, ("train",)),
-    "train.batch": (int, ("train",)),
-    "train.lr": (float, ("train",)),
-    "train.margin": (float, ("train",)),
-    "train.warmup": (float, ("train",)),
-    "ranker.k": (int, ("query", "match")),
-    "ranker.k1": (float, ("index",)),
-    "ranker.b": (float, ("index",)),
-    "serve.bind": (str, ("serve",)),
-    "seeds.triplets": (int, ("triplets",)),
-    "seeds.train": (int, ("train",)),
+    "paths.concepts": ("ingest", "triplets", "index"),
+    "paths.labels": ("ingest", "triplets", "index"),
+    "paths.relations": ("ingest", "triplets", "index"),
+    "paths.stopwords": ("index", "eval"),
+    "paths.out": ("triplets", "train", "index"),
+    "train.dim": ("train",),
+    "train.buckets": ("train",),
+    "train.epochs": ("train",),
+    "train.batch": ("train",),
+    "train.lr": ("train",),
+    "train.margin": ("train",),
+    "train.warmup": ("train",),
+    "ranker.k": ("query", "match"),
+    "ranker.k1": ("index",),
+    "ranker.b": ("index",),
+    "serve.bind": ("serve",),
+    "seeds.triplets": ("triplets",),
+    "seeds.train": ("train",),
 }
 
 
@@ -57,13 +57,13 @@ def _flag(key: str) -> str:
 
 @dataclass
 class PipelineConfig:
-    """Typed view over a flat config file."""
+    """A flat config file's values, as written; argparse types them."""
 
-    values: dict[str, object] = field(default_factory=dict)
+    values: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        values: dict[str, object] = {}
+        values: dict[str, str] = {}
         path = Path(path)
         for lineno, line in read_lines(path):
             line = line.strip()
@@ -75,18 +75,12 @@ class PipelineConfig:
                 )
             key, _, raw = line.partition("=")
             key = key.strip()
-            raw = raw.strip()
             if key not in _KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _KEYS[key][0](raw)
-            except ValueError:
-                raise UsageError(
-                    f"{path}:{lineno}: bad value {raw!r} for {key!r}"
-                ) from None
+            values[key] = raw.strip()
         return cls(values)
 
-    def defaults_for(self, command: str) -> dict[str, object]:
+    def defaults_for(self, command: str) -> dict[str, str]:
         """Flag defaults this config contributes to one subcommand."""
-        return {_flag(key): self.values[key] for key, (_, commands) in _KEYS.items()
+        return {_flag(key): self.values[key] for key, commands in _KEYS.items()
                 if command in commands and key in self.values}

@@ -270,7 +270,7 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, allow_nan=False) + "\n"
 
 
 def bucketize_by_overlap(
@@ -383,12 +383,15 @@ def evaluate_run(
 
 def per_query_stat(report_dict: dict, stat: str, k: int) -> dict[str, float]:
     """Extract {query_id: value} for the t-test pairing from a report dict;
-    ``stat`` is 'hits' (the Hits@k indicator) or 'rr' (reciprocal rank)."""
+    ``stat`` is 'hits' (the Hits@k indicator) or 'rr' (reciprocal rank).
+    A repeated query id would leave the pairing ambiguous and is refused."""
     key = f"hits@{k}" if stat == "hits" else "mrr"
     out = {}
     for row in report_dict["per_query"]:
         if key not in row:
             raise KeyError(f"per-query rows carry no {key!r} field")
+        if row["query_id"] in out:
+            raise ValueError(f"query id {row['query_id']!r} repeats")
         out[row["query_id"]] = float(row[key])
     return out
 
@@ -401,7 +404,8 @@ def significance_against(
     k: int = 10,
 ) -> dict:
     """Paired t-test of this run against a baseline report, matched by
-    query id over the intersection of the two query sets."""
+    query id over the intersection of the two query sets.  A zero-variance
+    t (+/-inf) is recorded as None, which JSON writes as null."""
     ours = per_query_stat(report.to_dict(), stat, k)
     theirs = per_query_stat(baseline_dict, stat, k)
     shared = sorted(set(ours) & set(theirs))
@@ -410,7 +414,7 @@ def significance_against(
         "baseline": baseline_name,
         "stat": f"hits@{k}" if stat == "hits" else "rr",
         "n": len(shared),
-        "t": t,
+        "t": t if math.isfinite(t) else None,
         "p": p,
     }
 
@@ -420,13 +424,19 @@ def significance_against(
 def read_queries(path: str | Path, mode: str = "text") -> list[EvalQuery]:
     """Query TSV: ``query_id<TAB>query<TAB>relevant_id[,relevant_id...]``.
 
-    In concept mode the query column holds ``label1|label2|...``.
+    In concept mode the query column holds ``label1|label2|...``.  Query ids
+    are unique, since significance tests pair runs by id.
     """
     if mode not in ("text", "concept"):
         raise ValueError(f"unknown query mode {mode!r}")
     path = Path(path)
     queries: list[EvalQuery] = []
+    first_line: dict[str, int] = {}
     for lineno, (qid, body, relevant) in read_rows(path, 3):
+        if qid in first_line:
+            raise MalformedLine(
+                f"{path}:{lineno}: query id {qid!r} repeats line {first_line[qid]}")
+        first_line[qid] = lineno
         relevant_ids = frozenset(x for x in relevant.split(",") if x)
         if not relevant_ids:
             raise MalformedLine(f"{path}:{lineno}: no relevant concept id")

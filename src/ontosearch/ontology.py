@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     CycleDetected,
@@ -114,33 +114,27 @@ class OntologyGraph:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        # Iterative three-colour DFS over child->parent edges; on a back edge
-        # the grey stack suffix is one concrete cycle for the error message.
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {cid: WHITE for cid in self.concepts}
-        for start in self.concepts:
-            if colour[start] != WHITE:
-                continue
-            stack: list[tuple[str, Iterator[str]]] = [
-                (start, iter(sorted(self.concepts[start].parent_ids)))
-            ]
-            colour[start] = GREY
-            while stack:
-                node, parents = stack[-1]
-                nxt = next(parents, None)
-                if nxt is None:
-                    colour[node] = BLACK
-                    stack.pop()
-                elif colour[nxt] == GREY:
-                    path = [entry[0] for entry in stack]
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise CycleDetected(
-                        "parent relation contains a cycle: " + " -> ".join(cycle),
-                        cycle=cycle,
-                    )
-                elif colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, iter(sorted(self.concepts[nxt].parent_ids))))
+        # Kahn: peel concepts whose parents are all peeled.  Each concept left
+        # has a parent left, so walking least parents from the least id left
+        # must meet an id again; the walk from that id on is one cycle.
+        waiting = {cid: len(c.parent_ids) for cid, c in self.concepts.items()}
+        ready = [cid for cid, n in waiting.items() if not n]
+        for cid in ready:  # ready grows as it is walked
+            del waiting[cid]
+            for child in self.children[cid]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready.append(child)
+        if not waiting:
+            return
+        position: dict[str, int] = {}
+        node = min(waiting)
+        while node not in position:
+            position[node] = len(position)
+            node = min(p for p in self.concepts[node].parent_ids if p in waiting)
+        cycle = list(position)[position[node]:] + [node]
+        raise CycleDetected("parent relation contains a cycle: " + " -> ".join(cycle),
+                            cycle=cycle)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -196,19 +190,15 @@ def relation_between(
         return RelationKind.PARENT_OF_TRUTH
     if truth_id in result.parent_ids:
         return RelationKind.CHILD_OF_TRUTH
-    grandparents = {
-        gp for pid in truth.parent_ids for gp in graph.parents_of(pid)
-    }
-    if result_id in grandparents:
+    grandparent_sets = [graph.concepts[pid].parent_ids for pid in truth.parent_ids]
+    if any(result_id in grandparents for grandparents in grandparent_sets):
         return RelationKind.GRANDPARENT_OF_TRUTH
-    grandchildren = {
-        gc for cid in graph.children[truth_id] for gc in graph.children[cid]
-    }
-    if result_id in grandchildren:
+    if any(truth_id in graph.concepts[pid].parent_ids for pid in result.parent_ids):
         return RelationKind.GRANDCHILD_OF_TRUTH
-    if result_id in get_uncles(graph, truth_id):
+    # an uncle shares a parent with a parent of the truth (itself is PARENT above)
+    if any(not result.parent_ids.isdisjoint(grandparents) for grandparents in grandparent_sets):
         return RelationKind.UNCLE_OF_TRUTH
-    if result_id in get_siblings(graph, truth_id):
+    if not result.parent_ids.isdisjoint(truth.parent_ids):
         return RelationKind.SIBLING_OF_TRUTH
     return RelationKind.OTHER
 

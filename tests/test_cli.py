@@ -409,6 +409,61 @@ class TestBm25OnlyIndex:
                                        "message": "index has no bm25 ranker"}
 
 
+def refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+class TestEvalPairing:
+    """A significance test pairs two runs by query id, so its report must be
+    JSON and every id must name one row."""
+
+    @pytest.fixture
+    def bm25_eval(self, capsys, tmp_path):
+        index_dir = tmp_path / "kw"
+        assert main(["index", *ontology_args(), "--bm25", "--out", str(index_dir)]) == 0
+        capsys.readouterr()
+
+        def bm25_eval(query_rows, baseline_ids):
+            queries = tmp_path / "q.tsv"
+            queries.write_text("".join(f"{row}\n" for row in query_rows), encoding="utf-8")
+            baseline = tmp_path / "base.json"
+            baseline.write_text(json.dumps({"per_query": [
+                {"query_id": qid, "hits@1": 0} for qid in baseline_ids]}), encoding="utf-8")
+            out = tmp_path / "report.json"
+            code, _, err = run(capsys, "eval", "--index", str(index_dir), "--ranker", "bm25",
+                               "--queries", str(queries), "--k", "1",
+                               "--baseline-run", str(baseline), "--out", str(out))
+            return code, err, queries, out
+
+        return bm25_eval
+
+    def test_zero_variance_t_is_written_as_null(self, bm25_eval):
+        code, _, _, out = bm25_eval(["q1\tLassitude\tasthenia", "q2\tfeeling tired\tfeeling-tired"],
+                                    ["q1", "q2"])
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+        assert report["aggregates"]["hits@1"] == 1.0
+        assert report["significance"] == [
+            {"baseline": "base.json", "stat": "hits@1", "n": 2, "t": None, "p": 0.0}]
+
+    def test_repeated_query_id_is_refused(self, bm25_eval):
+        code, err, queries, out = bm25_eval(
+            ["q1\tlassitude\tasthenia", "q1\tzzz\tasthenia", "q2\ttired\tfeeling-tired"],
+            ["q1", "q2"])
+        assert code == 1 and not out.exists()
+        assert json.loads(err) == {"error": "io.MalformedLine",
+                                   "message": f"{queries}:2: query id 'q1' repeats line 1"}
+
+    def test_baseline_repeating_an_id_is_refused(self, bm25_eval):
+        code, err, _, out = bm25_eval(["q1\tlassitude\tasthenia", "q2\ttired\tfeeling-tired"],
+                                      ["q1", "q1", "q2"])
+        assert code == 2 and not out.exists()
+        error = json.loads(err)
+        assert error["error"] == "app.UsageError"
+        assert error["message"].startswith("bad --baseline-run")
+        assert "query id 'q1' repeats" in error["message"]
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("flag, value", [("--conf", "k.conf"), ("--ran", "bm25")])
     def test_abbreviated_flag_is_refused(self, capsys, built_index, tmp_path, monkeypatch,
@@ -692,7 +747,7 @@ class TestConfigFlags:
         values = config_values(tmp_path)
         conf = write_config(tmp_path / "pipe.conf", values)
         fed = {config_flag(key): value for key, value in values.items()
-               if command in config_keys[key][1]}
+               if command in config_keys[key]}
         assert main([command, "--config", str(conf), *OTHER_FLAGS[command]]) == 0
         for flag, value in fed.items():
             got = getattr(parsed[-1], flag)

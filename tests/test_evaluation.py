@@ -449,6 +449,14 @@ class TestQueryFile:
         with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:2: no query label$"):
             read_queries(path, mode="concept")
 
+    def test_repeated_query_id(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("# queries\nq1\ttired\tfatigue\nq2\tweak\tasthenia\nq1\tzzz\tfatigue\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:4: query id 'q1' "
+                                                f"repeats line 2$"):
+            read_queries(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EvalQuery(query_id="x", relevant_ids=frozenset({"a"}))

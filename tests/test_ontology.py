@@ -1,3 +1,11 @@
+import json
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +19,7 @@ from ontosearch.errors import (
     UnknownConceptId,
     UnknownParentId,
 )
+from ontosearch import ontology
 from ontosearch.ontology import (
     Concept,
     OntologyGraph,
@@ -287,3 +296,111 @@ def test_parent_child_duality_and_self_gain(graph):
                 assert backward is RelationKind.CHILD_OF_TRUTH
             if forward is RelationKind.GRANDPARENT_OF_TRUTH:
                 assert backward is RelationKind.GRANDCHILD_OF_TRUTH
+
+
+def reference_relation(graph, result_id, truth_id):
+    """The set-based definition: each neighbour set built whole from
+    ``children``, ``get_uncles`` and ``get_siblings``."""
+    truth = graph.get(truth_id)
+    if result_id == truth_id:
+        return RelationKind.SAME
+    if result_id in truth.parent_ids:
+        return RelationKind.PARENT_OF_TRUTH
+    if truth_id in graph.get(result_id).parent_ids:
+        return RelationKind.CHILD_OF_TRUTH
+    if result_id in {gp for pid in truth.parent_ids for gp in graph.parents_of(pid)}:
+        return RelationKind.GRANDPARENT_OF_TRUTH
+    if result_id in {gc for cid in graph.children[truth_id] for gc in graph.children[cid]}:
+        return RelationKind.GRANDCHILD_OF_TRUTH
+    if result_id in get_uncles(graph, truth_id):
+        return RelationKind.UNCLE_OF_TRUTH
+    if result_id in get_siblings(graph, truth_id):
+        return RelationKind.SIBLING_OF_TRUTH
+    return RelationKind.OTHER
+
+
+@given(random_dags())
+@settings(max_examples=100)
+def test_relation_matches_the_neighbour_set_definition(graph):
+    for x in graph.concepts:
+        for y in graph.concepts:
+            assert relation_between(graph, x, y) is reference_relation(graph, x, y), (x, y)
+
+
+@st.composite
+def dags_with_a_back_edge(draw):
+    """A random DAG whose concept ``child`` also takes ``parent`` as a
+    parent, where ``child`` is ``parent`` or one of its ancestors."""
+    graph = draw(random_dags())
+    parent = draw(st.sampled_from(sorted(graph.concepts)))
+    ancestors, todo = {parent}, [parent]
+    while todo:
+        for pid in graph.parents_of(todo.pop()):
+            if pid not in ancestors:
+                ancestors.add(pid)
+                todo.append(pid)
+    child = draw(st.sampled_from(sorted(ancestors)))
+    return [Concept(id=c.id, labels=c.labels,
+                    parent_ids=c.parent_ids | {parent} if c.id == child else c.parent_ids)
+            for c in graph.concepts.values()]
+
+
+def cycle_of(concepts):
+    with pytest.raises(CycleDetected) as excinfo:
+        OntologyGraph(concepts)
+    return excinfo.value.cycle
+
+
+@given(dags_with_a_back_edge())
+@settings(max_examples=100)
+def test_named_cycle_is_real_and_independent_of_row_order(concepts):
+    cycle = cycle_of(concepts)
+    parents = {c.id: c.parent_ids for c in concepts}
+    assert cycle[0] == cycle[-1]
+    assert len(set(cycle[:-1])) == len(cycle) - 1
+    assert all(parent in parents[child] for child, parent in zip(cycle, cycle[1:]))
+    assert cycle_of(concepts[::-1]) == cycle
+
+
+NAME_CYCLES = """
+import json, sys
+from ontosearch.errors import CycleDetected
+from ontosearch.ontology import Concept, OntologyGraph
+cycles = []
+for specs in json.load(sys.stdin):
+    try:
+        OntologyGraph(Concept(id=c, labels=("x",), parent_ids=frozenset(ps)) for c, ps in specs)
+        cycles.append(None)
+    except CycleDetected as exc:
+        cycles.append(exc.cycle)
+print(json.dumps(cycles))
+"""
+
+
+def test_named_cycle_is_independent_of_hash_seed():
+    rng = random.Random(0)
+    graphs = [[(f"c{i:02d}", [f"c{p:02d}" for p in rng.sample(range(30), rng.randint(0, 2))])
+               for i in range(30)] for _ in range(200)]
+    src = str(Path(ontology.__file__).parents[1])
+    named = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", NAME_CYCLES], input=json.dumps(graphs), capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout)
+        for seed in ("1", "2")
+    ]
+    assert named[0] == named[1]
+    assert sum(cycle is not None for cycle in named[0]) > 100
+
+
+def test_long_cycle_behind_a_long_tail_is_named_in_linear_time():
+    n = 20_000
+    concepts = [Concept(id=f"a{i:05d}", labels=("x",),
+                        parent_ids=frozenset({f"a{i + 1:05d}" if i + 1 < n else "b00000"}))
+                for i in range(n)]
+    concepts += [Concept(id=f"b{i:05d}", labels=("x",), parent_ids=frozenset({f"b{(i + 1) % n:05d}"}))
+                 for i in range(n)]
+    start = time.perf_counter()
+    cycle = cycle_of(concepts)
+    assert time.perf_counter() - start < 1.0
+    assert cycle == [f"b{i:05d}" for i in range(n)] + ["b00000"]
