@@ -23,7 +23,7 @@ from .embedder import (
     load_word_vectors,
     save_encoder,
 )
-from .errors import FileNotFound, IoError, MalformedLine, OntoSearchError, UsageError
+from .errors import FileNotFound, IoError, MalformedLine, OntoSearchError, OutOfMemory, UsageError
 from .ontology import load_ontology
 from .ranker import (
     BM25_B,
@@ -58,7 +58,7 @@ def _ontology_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # no abbreviations, so argparse spells --config exactly as _extract_config does
+    # no abbreviations, so a flag is spelled as _extract_config and main look for it
     parser = _Parser(prog="ontosearch", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,13 +332,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config = _extract_config(argv)
-        if config is not None:  # its values act as flags ahead of the command line's own
-            argv[1:1] = [f"--{k}={v}" for k, v in config.defaults_for(argv[0]).items()]
+        if config is not None:  # its values act as the flags the command line does not give
+            given = {token.partition("=")[0] for token in argv}
+            argv[1:1] = [f"--{k}={v}" for k, v in config.defaults_for(argv[0]).items()
+                         if f"--{k}" not in given]
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (OntoSearchError, OSError) as exc:
+    except (OntoSearchError, OSError, MemoryError) as exc:
         if isinstance(exc, OSError):
             exc = (FileNotFound if isinstance(exc, FileNotFoundError) else IoError)(str(exc))
+        elif isinstance(exc, MemoryError):
+            exc = OutOfMemory(str(exc) or "out of memory")
         print(exc.json_line(), file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
 

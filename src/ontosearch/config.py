@@ -1,8 +1,8 @@
 """Pipeline configuration file: flat ``section.key = value`` lines.
 
-A config file's values act as CLI flags ahead of the command line's own,
-so explicit flags always win, and a value is checked only by the command
-that uses it, as its flag would be.  The format is deliberately trivial
+A config file's values act as the CLI flags the command line does not
+give, so explicit flags always win, and a value is checked only by the
+command that uses it, as its flag would be.  The format is deliberately trivial
 (one assignment per line, ``#`` comments, UTF-8).
 
 Recognised keys and the flags they feed:

@@ -329,14 +329,13 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
         raise TypeError(f"unknown encoder type {type(encoder)!r}")
 
 
-def _row_table(path: str | Path, keys: np.ndarray, matrix: np.ndarray,
-               dim: int) -> dict[str, np.ndarray]:
+def _row_table(keys: np.ndarray, matrix: np.ndarray, dim: int) -> dict[str, np.ndarray]:
     """``{key: its row of matrix}``; a matrix whose rows are not ``dim``
     wide, or that holds NaN or ±inf, is refused."""
     if matrix.shape[1:] != (dim,):
-        raise MalformedLine(f"{path}: matrix of shape {matrix.shape}, expected rows {dim} wide")
+        raise MalformedLine(f"matrix of shape {matrix.shape}, expected rows {dim} wide")
     if not all_finite(matrix):
-        raise MalformedLine(f"{path}: matrix holds NaN or infinite values")
+        raise MalformedLine("matrix holds NaN or infinite values")
     return {str(key): row.copy() for key, row in zip(keys, matrix, strict=True)}
 
 
@@ -344,7 +343,7 @@ def load_encoder(path: str | Path) -> Encoder:
     with decoding(path, "encoder file"), np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _CONTAINER_VERSION:
-            raise MalformedLine(f"{path}: unsupported container version {version}")
+            raise MalformedLine(f"unsupported container version {version}")
         kind = str(data["kind"])
         dim = int(data["dim"])
         if kind == "subword":  # the constructor refuses a table that is not finite
@@ -358,10 +357,10 @@ def load_encoder(path: str | Path) -> Encoder:
             )
         if kind == "wordvec":
             return StaticWordVectors(
-                _row_table(path, data["tokens"], data["matrix"], dim),
+                _row_table(data["tokens"], data["matrix"], dim),
                 dim,
                 duplicates=int(data["duplicates"]),
             )
         if kind == "precomputed":
-            return PrecomputedEncoder(_row_table(path, data["texts"], data["matrix"], dim), dim)
-    raise MalformedLine(f"{path}: unknown encoder kind {kind!r}")
+            return PrecomputedEncoder(_row_table(data["texts"], data["matrix"], dim), dim)
+        raise MalformedLine(f"unknown encoder kind {kind!r}")

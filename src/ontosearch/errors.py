@@ -142,3 +142,9 @@ class PayloadTooLarge(OntoSearchError):
 
 class RequestTimeout(OntoSearchError):
     code = "app.RequestTimeout"
+
+
+class OutOfMemory(OntoSearchError):
+    """An allocation, sized by a flag or a file, that cannot be met."""
+
+    code = "app.OutOfMemory"

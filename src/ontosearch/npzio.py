@@ -69,9 +69,13 @@ def read_rows(path: str | Path, columns: int) -> Iterator[tuple[int, list[str]]]
 def decoding(path: str | Path, what: str):
     """Report a ``what`` at ``path`` that is not valid JSON or npz, is
     truncated, lacks a key or array, or names a zip compression method
-    (``NotImplementedError``) as ``io.MalformedLine`` naming it."""
+    (``NotImplementedError``) as ``io.MalformedLine`` naming it; an
+    ``io.MalformedLine`` raised inside gets the path put before its
+    message."""
     try:
         yield
+    except MalformedLine as exc:
+        raise MalformedLine(f"{path}: {exc.message}") from None
     except (EOFError, KeyError, NotImplementedError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise MalformedLine(f"{path}: corrupt {what} ({type(exc).__name__}: {exc})") from None

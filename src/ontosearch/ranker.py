@@ -134,44 +134,27 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
-def _concept_runs(ids: list[str]) -> np.ndarray:
-    """Start row of each concept's run of rows.  Ties are broken by row
-    position, so each concept's rows must form one run and the runs must
-    ascend by concept id."""
-    ids = np.array(ids, dtype=object)  # compared as Python strings
-    starts = np.flatnonzero(np.concatenate(([len(ids) > 0], ids[1:] != ids[:-1])))
-    if not (ids[starts[:-1]] < ids[starts[1:]]).all():
-        raise MalformedLine("index rows must be grouped per concept in ascending id order")
-    return starts
-
-
 # --- vector index --------------------------------------------------------------
 
 
 class VectorIndex:
-    """Exact cosine index: unit-normalised label vectors plus row metadata."""
+    """Exact cosine index: one unit-normalised row per label of ``graph``,
+    concepts by ascending id, then each one's labels in order."""
 
-    def __init__(
-        self,
-        dim: int,
-        rows: np.ndarray,
-        concept_ids: list[str],
-        labels: list[str],
-        encoder_fingerprint: str = "",
-    ):
-        rows = np.asarray(rows, dtype=np.float64).reshape(len(concept_ids), dim)
-        if len(concept_ids) != len(labels):
-            raise ValueError("row metadata lengths differ")
+    def __init__(self, graph: OntologyGraph, rows: np.ndarray, encoder_fingerprint: str = ""):
+        self.concept_ids, self.labels, counts = _label_rows(graph)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or len(rows) != len(self.labels):
+            raise MalformedLine(f"rows of shape {rows.shape}, but the ontology has "
+                                f"{len(self.labels)} labels")
         if not all_finite(rows):
             raise MalformedLine("vector index rows hold NaN or infinite values")
-        self.dim = dim
+        self.dim = rows.shape[1]
         self.rows = rows
-        self.concept_ids = list(concept_ids)
-        self.labels = list(labels)
         self.encoder_fingerprint = encoder_fingerprint
         # concept c owns rows _bounds[c]:_bounds[c + 1]
-        self._bounds = np.append(_concept_runs(self.concept_ids), len(rows))
-        self._concept_of_row = np.repeat(np.arange(len(self._bounds) - 1), np.diff(self._bounds))
+        self._bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        self._concept_of_row = np.repeat(np.arange(len(counts)), counts)
 
     def __len__(self) -> int:
         return len(self.concept_ids)
@@ -217,16 +200,19 @@ class VectorIndex:
         return np.minimum.reduceat(np.where(reached, rows, _NONE), starts)
 
 
-def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str]]:
-    """The vector index's row metadata: one (concept id, label) row per
-    label, in sorted-concept, label-sequence order."""
+def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str], list[int]]:
+    """The vector index's row layout: one (concept id, label) row per
+    label, in sorted-concept, label-sequence order, and each concept's
+    label count."""
     concept_ids: list[str] = []
     labels: list[str] = []
+    counts: list[int] = []
     for cid in graph.sorted_ids():
-        for label in graph.concepts[cid].labels:
-            concept_ids.append(cid)
-            labels.append(label)
-    return concept_ids, labels
+        concept_labels = graph.concepts[cid].labels
+        concept_ids += [cid] * len(concept_labels)
+        labels += concept_labels
+        counts.append(len(concept_labels))
+    return concept_ids, labels, counts
 
 
 def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
@@ -236,7 +222,7 @@ def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
     zero row (it cosine-scores 0 against everything).  An embedding, or a
     norm, that overflows raises ``io.MalformedLine`` naming the label.
     """
-    concept_ids, labels = _label_rows(graph)
+    _, labels, _ = _label_rows(graph)
     rows = np.zeros((len(labels), encoder.dim), dtype=np.float64)
     with np.errstate(over="raise", invalid="raise"):
         for row, label in zip(rows, labels):
@@ -247,7 +233,7 @@ def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
                 raise MalformedLine(f"the embedding of label {label!r} overflows") from None
             if norm >= _ZERO_NORM_EPS:
                 row[:] = vec / norm
-    return VectorIndex(encoder.dim, rows, concept_ids, labels, encoder.fingerprint())
+    return VectorIndex(graph, rows, encoder.fingerprint())
 
 
 def search_text(
@@ -325,6 +311,9 @@ class Bm25Index:
         b: float,
     ):
         check_bm25_params(k1, b)
+        if len(term_freqs) != len(graph):
+            raise MalformedLine(f"{len(term_freqs)} documents, but the ontology has "
+                                f"{len(graph)} concepts")
         self.concept_ids = graph.sorted_ids()
         self.term_freqs = term_freqs
         # one row per concept, labelled with its preferred label
@@ -484,18 +473,13 @@ def load_vector_index(path: str | Path, graph: OntologyGraph) -> VectorIndex:
         with np.load(path, allow_pickle=False) as data:
             version = int(data["version"])
             if version != _VECTOR_VERSION:
-                raise MalformedLine(f"{path}: unsupported vector index version {version}")
+                raise MalformedLine(f"unsupported vector index version {version}")
             dim = int(data["dim"])
             rows = data["rows"]
             fingerprint = str(data["fingerprint"])
-        concept_ids, labels = _label_rows(graph)
-        if rows.shape != (len(labels), dim):
-            raise MalformedLine(f"{path}: rows of shape {rows.shape}, expected "
-                                f"({len(labels)}, {dim}): one per ontology label")
-        try:
-            return VectorIndex(dim, rows, concept_ids, labels, fingerprint)
-        except MalformedLine as exc:
-            raise MalformedLine(f"{path}: {exc}") from None
+        if rows.shape[1:] != (dim,):
+            raise MalformedLine(f"rows of shape {rows.shape}, expected rows {dim} wide")
+        return VectorIndex(graph, rows, fingerprint)
 
 
 def save_bm25_index(index: Bm25Index, path: str | Path) -> None:
@@ -519,19 +503,15 @@ def load_bm25_index(path: str | Path, graph: OntologyGraph) -> Bm25Index:
             payload = json.load(fh)
         version = int(payload["version"])
         if version != _BM25_VERSION:
-            raise MalformedLine(f"{path}: unsupported BM25 index version {version}")
-        term_freqs = payload["term_freqs"]
-        if len(term_freqs) != len(graph):
-            raise MalformedLine(f"{path}: {len(term_freqs)} documents, but the ontology "
-                                f"has {len(graph)} concepts")
+            raise MalformedLine(f"unsupported BM25 index version {version}")
         index = Bm25Index(
             graph,
-            term_freqs=[dict(tf) for tf in term_freqs],
+            term_freqs=[dict(tf) for tf in payload["term_freqs"]],
             stopwords=frozenset(payload["stopwords"]),
             k1=payload["k1"],
             b=payload["b"],
         )
         # df/avgdl are derivable from the documents; a mismatch means corruption
         if index.df != payload["df"] or index.avgdl != payload["avgdl"]:
-            raise MalformedLine(f"{path}: stored df/avgdl disagree with documents")
+            raise MalformedLine("stored df/avgdl disagree with documents")
         return index

@@ -332,6 +332,18 @@ def test_08_t_test_oracle():
     report(8, "paired t-test oracle", elapsed, "p=1 exact, p=0.5 at nu=1")
 
 
+def without_label(graph, cid, held_out):
+    """``graph`` with label ``held_out`` of concept ``cid`` left out."""
+    return OntologyGraph(
+        Concept(
+            id=c.id,
+            labels=tuple(lb for lb in c.labels if not (c.id == cid and lb == held_out)),
+            parent_ids=c.parent_ids,
+        )
+        for c in graph.concepts.values()
+    )
+
+
 def test_09_vocabulary_mismatch_experiment():
     start = time.perf_counter()
     graph = synthetic_ontology(10, 10, 3)  # 100 children x 3 labels + 10 roots
@@ -350,9 +362,9 @@ def test_09_vocabulary_mismatch_experiment():
     nearest_same = 0
     for i in child_rows:
         rows = np.delete(index.rows, i, axis=0)
-        ids = index.concept_ids[:i] + index.concept_ids[i + 1:]
-        labels = index.labels[:i] + index.labels[i + 1:]
-        sub = VectorIndex(index.dim, rows, ids, labels, index.encoder_fingerprint)
+        sub = VectorIndex(without_label(graph, index.concept_ids[i], index.labels[i]), rows,
+                          index.encoder_fingerprint)
+        ids = sub.concept_ids
         top = search_text(sub, index.labels[i], 1, model)[0]
         hits1 += top.concept_id == index.concept_ids[i]
         q = model.embed(index.labels[i])
@@ -370,14 +382,7 @@ def test_09_vocabulary_mismatch_experiment():
     for i in child_rows:
         cid = index.concept_ids[i]
         held_out = index.labels[i]
-        reduced = OntologyGraph(
-            Concept(
-                id=c.id,
-                labels=tuple(lb for lb in c.labels if not (c.id == cid and lb == held_out)),
-                parent_ids=c.parent_ids,
-            )
-            for c in graph.concepts.values()
-        )
+        reduced = without_label(graph, cid, held_out)
         assert overlap_degree(held_out, reduced.concepts[cid], frozenset()) == 0.0
         zero_overlap_queries += 1
         hits = bm25_search(build_bm25_index(reduced, None), held_out, 10)

@@ -156,6 +156,22 @@ class TestTrainCommand:
         assert "epoch 1, step 2:" in error["message"]
         assert not model.exists()
 
+    def test_allocation_that_cannot_be_met_is_one_coded_error(self, capsys, tmp_path):
+        """A table of 10**15 floats (7.1 PiB), past the 128 TiB a process can
+        address whatever the overcommit setting."""
+        trip = tmp_path / "t"
+        assert main(["triplets", *ontology_args(), "--out", str(trip)]) == 0
+        capsys.readouterr()
+        model = tmp_path / "m.npz"
+        code, out, err = run(
+            capsys, "train", "--triplets", str(trip / "train.tsv"), "--dim", "1000000",
+            "--buckets", "1000000000", "--epochs", "1", "--out", str(model),
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "app.OutOfMemory"
+        assert not model.exists()
+
 
 class TestQuery:
     def test_vector_self_match(self, capsys, built_index):
@@ -761,6 +777,16 @@ class TestConfigFlags:
             got = getattr(parsed[-1], flag)
             assert (got, type(got)) == (value, type(value)), flag
 
+    @pytest.mark.parametrize("explicit", [["--epochs", "2"], ["--epochs=2"]])
+    def test_explicit_flag_replaces_a_malformed_value(self, capsys, tmp_path, parsed, explicit):
+        conf = write_config(tmp_path / "bad.conf", {"train.epochs": "many"})
+        argv = ["train", "--config", str(conf), "--triplets", "t.tsv", "--out", "m.npz"]
+        assert main([*argv, *explicit]) == 0
+        assert parsed[-1].epochs == 2
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "--epochs: invalid int value: 'many'" in json.loads(err)["message"]
+
     def test_values_starting_with_a_dash(self, tmp_path, parsed):
         conf = write_config(tmp_path / "pipe.conf",
                             {"paths.out": "-out", "seeds.triplets": -3, "train.margin": -0.5})
@@ -847,11 +873,12 @@ def _drop_label(path):
 
 class TestCorruptBundle:
     """A bundle file that cannot be read gives one coded line naming the
-    file it was caught in, never a traceback."""
+    file it was caught in once, never a traceback."""
 
     @pytest.mark.parametrize("target, corrupt, named", [
         ("bm25.json", _truncate, "bm25.json"),
         ("bm25.json", _rewrite_json(term_freqs=None), "bm25.json"),
+        ("bm25.json", _rewrite_json(term_freqs=[{}]), "bm25.json"),
         ("bm25.json", _rewrite_json(version=1), "bm25.json"),
         ("bm25.json", _rewrite_json(k1=np.nan), "bm25.json"),
         ("bm25.json", _rewrite_json(b=2.0), "bm25.json"),
@@ -869,7 +896,7 @@ class TestCorruptBundle:
         ("encoder.npz", _poison_npz("table", np.inf), "encoder.npz"),
         ("vector.npz", _unknown_compression, "vector.npz"),
         ("encoder.npz", _unknown_compression, "encoder.npz"),
-    ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-version-1", "bm25-k1-nan",
+    ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-one-document", "bm25-version-1", "bm25-k1-nan",
             "bm25-b-2", "vector-not-a-zip",
             "vector-truncated", "vector-no-rows", "vector-version-1", "label-added",
             "label-dropped", "labels-not-utf8", "encoder-not-a-zip", "encoder-truncated",
@@ -883,7 +910,7 @@ class TestCorruptBundle:
         assert code == 1
         assert out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] == "io.MalformedLine"
-        assert named in json.loads(err)["message"]
+        assert json.loads(err)["message"].count(named) == 1
 
 
 class TestIndexModel:

@@ -18,12 +18,13 @@ from test_cli import package_env
 INDEX = """
 import ontosearch
 import numpy as np
+from ontosearch.ontology import Concept, OntologyGraph
 from ontosearch.ranker import VectorIndex
 rng = np.random.default_rng(0)
 rows = rng.standard_normal((31114, 64))
 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
 ids = [f"c{i:05d}" for i in range(len(rows))]
-index = VectorIndex(64, rows, ids, ids)
+index = VectorIndex(OntologyGraph(Concept(id=i, labels=(i,)) for i in ids), rows)
 queries = rng.standard_normal((5, 64))
 """
 

@@ -25,8 +25,13 @@ from ontosearch.embedder import PrecomputedEncoder, StaticWordVectors, SubwordEm
 from ontosearch.errors import MalformedLine
 from ontosearch.ontology import Concept, OntologyGraph
 from ontosearch.ranker import (
+    BM25_B,
+    BM25_K1,
+    DEFAULT_STOPWORDS,
+    Bm25Index,
     RankedHit,
     VectorIndex,
+    _label_rows,
     _top_k,
     build_bm25_index,
     build_vector_index,
@@ -218,13 +223,19 @@ def test_every_entry_point_equals_the_reference(onto, texts, k):
     assert len(scores) == len(expected) and dict(scores) == expected
 
 
-# --- row order checks --------------------------------------------------------------
+# --- rows checked against the graph ------------------------------------------------
 
 
-@pytest.mark.parametrize("concept_ids", [["a", "b", "a"], ["b", "b", "a"]])
-def test_vector_rows_not_grouped_in_id_order_are_rejected(concept_ids):
-    with pytest.raises(MalformedLine, match="grouped per concept"):
-        VectorIndex(1, np.ones((3, 1)), concept_ids, ["x", "y", "z"])
+def flat_graph(concept_ids, labels):
+    """The graph of parentless concepts whose label rows are
+    ``concept_ids``/``labels``, concepts inserted in order of first row."""
+    labels_of = {}
+    for cid, label in zip(concept_ids, labels):
+        labels_of.setdefault(cid, []).append(label)
+    return OntologyGraph(Concept(id=cid, labels=tuple(ls)) for cid, ls in labels_of.items())
+
+
+THREE_ROWS = flat_graph(["a", "a", "b"], ["x", "y", "z"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -232,7 +243,19 @@ def test_vector_rows_that_are_not_finite_are_rejected(bad):
     rows = np.ones((3, 2))
     rows[1, 0] = bad
     with pytest.raises(MalformedLine, match="NaN or infinite"):
-        VectorIndex(2, rows, ["a", "a", "b"], ["x", "y", "z"])
+        VectorIndex(THREE_ROWS, rows)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3,), (0, 2)])
+def test_vector_rows_not_one_per_label_are_rejected(shape):
+    with pytest.raises(MalformedLine, match=r"rows of shape .*, but the ontology has 3 labels"):
+        VectorIndex(THREE_ROWS, np.ones(shape))
+
+
+@pytest.mark.parametrize("documents", [0, 1, 3])
+def test_bm25_documents_not_one_per_concept_are_rejected(documents):
+    with pytest.raises(MalformedLine, match=f"{documents} documents, but the ontology has 2"):
+        Bm25Index(THREE_ROWS, [{"x": 1}] * documents, DEFAULT_STOPWORDS, BM25_K1, BM25_B)
 
 
 # --- concept MAX and winners against the reduceat reference ------------------------
@@ -266,14 +289,17 @@ TIE_QUERIES = TIE_ROWS + ((1.0, -0.0), (math.nan, 0.0), (math.inf, 1.0), (-math.
 
 @st.composite
 def run_indexes(draw):
-    """Label counts of up to 12 concepts, one of which may be far wider than
-    the rest, with rows from TIE_ROWS."""
+    """A graph of up to 12 concepts, inserted in shuffled order, one of
+    which may hold far more labels than the rest, and its index with rows
+    from TIE_ROWS."""
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
     if draw(st.booleans()):
         counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(5, 40))
+    concepts = [Concept(id=f"c{c:02d}", labels=tuple(f"l{c}.{j}" for j in range(m)))
+                for c, m in enumerate(counts)]
+    graph = OntologyGraph(draw(st.permutations(concepts)))
     rows = [TIE_ROWS[draw(st.integers(0, len(TIE_ROWS) - 1))] for _ in range(sum(counts))]
-    ids = [f"c{c:02d}" for c, m in enumerate(counts) for _ in range(m)]
-    return VectorIndex(2, np.array(rows), ids, [f"l{i}" for i in range(len(ids))])
+    return graph, VectorIndex(graph, np.array(rows))
 
 
 def contract_scoring(index, query_vec, concepts=None):
@@ -289,7 +315,12 @@ def contract_scoring(index, query_vec, concepts=None):
 
 @settings(max_examples=300, deadline=None)
 @given(run_indexes(), st.lists(st.sampled_from(TIE_QUERIES), min_size=1, max_size=4))
-def test_concept_max_and_winners_equal_reduceat(index, queries):
+def test_concept_max_and_winners_equal_reduceat(graph_index, queries):
+    graph, index = graph_index
+    # rows follow the graph, grouped per concept in ascending id order,
+    # whatever order the concepts were inserted in
+    assert (index.concept_ids, index.labels) == _label_rows(graph)[:2]
+    assert index.concept_ids == sorted(index.concept_ids)
     for query in queries:
         with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
             best, scores, winners = contract_scoring(index, np.array(query))
@@ -310,10 +341,10 @@ def test_wide_concept_equals_reduceat_and_keeps_little_memory_per_row():
     ids = [f"c{c:05d}" for c in range(10_000) for _ in range(3)] + ["c99999"] * 5_000
     rows = np.zeros((len(ids), 1))
     rows[-1] = 1.0  # the wide concept's last label is its best
-    labels = [f"l{i}" for i in range(len(ids))]
+    graph = flat_graph(ids, [f"l{i}" for i in range(len(ids))])
     tracemalloc.start()
     try:
-        index = VectorIndex(1, rows, ids, labels)
+        index = VectorIndex(graph, rows)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -333,7 +364,7 @@ def test_row_scores_are_one_product_over_all_rows():
     rng = np.random.default_rng(9)
     rows = rng.standard_normal((1001, 64))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    index = VectorIndex(64, rows, [f"c{i:04d}" for i in range(1001)], ["x"] * 1001)
+    index = VectorIndex(flat_graph([f"c{i:04d}" for i in range(1001)], ["x"] * 1001), rows)
     q = SubwordEmbedder(bucket_count=512, dim=64, seed=3).embed("pain in the lower back")
     expected = np.clip(index.rows @ (q / np.linalg.norm(q)), -1.0, 1.0)
     assert index.score(q).tobytes() == expected.tobytes()
@@ -373,9 +404,10 @@ def _with_repeats(data, texts):
 
 @settings(max_examples=300, deadline=None)
 @given(run_indexes(), ontologies(), st.data())
-def test_concept_search_equals_the_per_label_fold(index, onto, data):
+def test_concept_search_equals_the_per_label_fold(graph_index, onto, data):
     """Repeated labels, ±0 and zero rows, one concept far wider than the
     rest, and k from 1 to past the number of concepts."""
+    _, index = graph_index
     texts = _with_repeats(data, data.draw(st.lists(
         st.sampled_from(sorted(QUERY_TABLE.table)), min_size=1, max_size=5)))
     k = data.draw(st.integers(1, len(set(index.concept_ids)) + 1))
@@ -397,7 +429,8 @@ def test_query_memory_does_not_grow_with_its_labels():
     label: a 400-label query peaks within 2x of a 1-label query."""
     ids = [f"c{c:05d}" for c in range(10_000) for _ in range(2)]
     rows = np.random.default_rng(4).standard_normal((len(ids), 4))
-    index = VectorIndex(4, rows / np.linalg.norm(rows, axis=1, keepdims=True), ids, ["x"] * len(ids))
+    graph = flat_graph(ids, [f"l{i}" for i in range(len(ids))])
+    index = VectorIndex(graph, rows / np.linalg.norm(rows, axis=1, keepdims=True))
     encoder = StaticWordVectors({"x": np.array([1.0, 2.0, 0.0, 1.0]),
                                  "y": np.array([0.0, -1.0, 3.0, 1.0])}, dim=4)
 
