@@ -194,6 +194,8 @@ def _cmd_triplets(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if not -(1 << 63) <= args.seed < 1 << 64:  # the model file stores it as a 64-bit integer
+        raise UsageError(f"--seed must lie in [-2**63, 2**64), got {args.seed}")
     train_set = read_triplets(args.triplets)
     dev_set = read_triplets(args.dev) if args.dev else None
     cfg = TrainConfig(

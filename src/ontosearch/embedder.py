@@ -27,6 +27,7 @@ from .errors import (
     InconsistentDimension,
     MalformedLine,
     MissingEmbedding,
+    OutOfMemory,
     UsageError,
 )
 from .npzio import decoding, read_lines, save_arrays
@@ -104,6 +105,8 @@ class SubwordEmbedder:
         self.ngram_max = ngram_max
         self.seed = seed
         if table is None:
+            if bucket_count * dim > np.iinfo(np.intp).max // 8:  # 8 bytes a float
+                raise OutOfMemory(f"a {bucket_count} x {dim} table is past numpy's size limit")
             scale = 0.5 / dim
             table = uniform_array(seed, bucket_count * dim, -scale, scale)
             table = table.reshape(bucket_count, dim)
@@ -178,10 +181,9 @@ class StaticWordVectors:
 
     kind = "wordvec"
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int, duplicates: int = 0):
+    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
         self.vectors = vectors
         self.dim = dim
-        self.duplicates = duplicates  # duplicate tokens seen while loading
 
     def embed(self, text: str) -> np.ndarray:
         rows = [self.vectors[t] for t in tokenize(text) if t in self.vectors]
@@ -220,14 +222,13 @@ Encoder = SubwordEmbedder | StaticWordVectors | PrecomputedEncoder
 # --- loading the two file-backed encoders -------------------------------------
 
 def _read_vectors(path: Path, rows: Iterable[tuple[int, str, list[str]]]
-                  ) -> tuple[dict[str, np.ndarray], int, int]:
-    """``({key: vector}, dim, duplicates)`` from ``(lineno, key, fields)``
-    rows, each format's line syntax already applied.  Components must be
-    finite numbers, every row as wide as the first, and a repeated key
-    keeps its last vector, counted and logged."""
+                  ) -> tuple[dict[str, np.ndarray], int]:
+    """``({key: vector}, dim)`` from ``(lineno, key, fields)`` rows, each
+    format's line syntax already applied.  Components must be finite
+    numbers, every row as wide as the first, and a repeated key keeps its
+    last vector, with a logged warning."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    duplicates = 0
     for lineno, key, fields in rows:
         try:
             vec = np.asarray([float(x) for x in fields], dtype=np.float64)
@@ -240,12 +241,11 @@ def _read_vectors(path: Path, rows: Iterable[tuple[int, str, list[str]]]
         elif vec.size != dim:
             raise InconsistentDimension(f"{path}:{lineno}: dimension {vec.size} != {dim}")
         if key in vectors:
-            duplicates += 1
             logger.warning("duplicate vector for %r at %s:%d, last wins", key, path, lineno)
         vectors[key] = vec
     if dim is None:
         raise MalformedLine(f"{path}: no vector rows")
-    return vectors, dim, duplicates
+    return vectors, dim
 
 
 def load_word_vectors(path: str | Path) -> StaticWordVectors:
@@ -284,8 +284,7 @@ def load_precomputed(path: str | Path) -> PrecomputedEncoder:
                 raise MalformedLine(f"{path}:{lineno}: expected 'text<TAB>v1 v2 .. vd'")
             yield lineno, parts[0], parts[1].split()
 
-    table, dim, _ = _read_vectors(path, rows())
-    return PrecomputedEncoder(table, dim)
+    return PrecomputedEncoder(*_read_vectors(path, rows()))
 
 
 # --- encoder container (versioned, bitwise round trip) ------------------------
@@ -294,13 +293,12 @@ _CONTAINER_VERSION = 1
 
 
 def save_encoder(encoder: Encoder, path: str | Path) -> None:
-    """Persist any encoder to a single ``.npz`` container."""
-    meta = dict(version=_CONTAINER_VERSION, kind=encoder.kind, dim=encoder.dim)
+    """Persist any encoder to a single ``.npz`` container; no dim is stored."""
+    meta = dict(version=_CONTAINER_VERSION, kind=encoder.kind)
     if isinstance(encoder, SubwordEmbedder):
         save_arrays(
             path,
             **meta,
-            bucket_count=encoder.bucket_count,
             ngram_min=encoder.ngram_min,
             ngram_max=encoder.ngram_max,
             seed=encoder.seed,
@@ -314,7 +312,6 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
             tokens=np.asarray(tokens, dtype=np.str_),
             matrix=np.stack([encoder.vectors[t] for t in tokens])
             if tokens else np.zeros((0, encoder.dim)),
-            duplicates=encoder.duplicates,
         )
     elif isinstance(encoder, PrecomputedEncoder):
         texts = list(encoder.table)
@@ -329,14 +326,20 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
         raise TypeError(f"unknown encoder type {type(encoder)!r}")
 
 
-def _row_table(keys: np.ndarray, matrix: np.ndarray, dim: int) -> dict[str, np.ndarray]:
-    """``{key: its row of matrix}``; a matrix whose rows are not ``dim``
-    wide, or that holds NaN or ±inf, is refused."""
-    if matrix.shape[1:] != (dim,):
-        raise MalformedLine(f"matrix of shape {matrix.shape}, expected rows {dim} wide")
+def _two_d(data, name: str) -> np.ndarray:
+    """Array ``name``, refused unless 2-D: its shape alone records the encoder's dim."""
+    array = data[name]
+    if array.ndim != 2:
+        raise MalformedLine(f"{name} of shape {array.shape}, expected 2-D")
+    return array
+
+
+def _row_table(keys: np.ndarray, matrix: np.ndarray) -> tuple[dict[str, np.ndarray], int]:
+    """``({key: its row of matrix}, dim)`` of a 2-D ``matrix`` with one row
+    per key; a matrix that holds NaN or ±inf is refused."""
     if not all_finite(matrix):
         raise MalformedLine("matrix holds NaN or infinite values")
-    return {str(key): row.copy() for key, row in zip(keys, matrix, strict=True)}
+    return {str(key): row.copy() for key, row in zip(keys, matrix, strict=True)}, matrix.shape[1]
 
 
 def load_encoder(path: str | Path) -> Encoder:
@@ -345,22 +348,17 @@ def load_encoder(path: str | Path) -> Encoder:
         if version != _CONTAINER_VERSION:
             raise MalformedLine(f"unsupported container version {version}")
         kind = str(data["kind"])
-        dim = int(data["dim"])
         if kind == "subword":  # the constructor refuses a table that is not finite
+            table = _two_d(data, "table")
             return SubwordEmbedder(
-                bucket_count=int(data["bucket_count"]),
-                dim=dim,
+                *table.shape,  # bucket_count, dim
                 ngram_min=int(data["ngram_min"]),
                 ngram_max=int(data["ngram_max"]),
                 seed=int(data["seed"]),
-                table=data["table"],
+                table=table,
             )
         if kind == "wordvec":
-            return StaticWordVectors(
-                _row_table(data["tokens"], data["matrix"], dim),
-                dim,
-                duplicates=int(data["duplicates"]),
-            )
+            return StaticWordVectors(*_row_table(data["tokens"], _two_d(data, "matrix")))
         if kind == "precomputed":
-            return PrecomputedEncoder(_row_table(data["texts"], data["matrix"], dim), dim)
+            return PrecomputedEncoder(*_row_table(data["texts"], _two_d(data, "matrix")))
         raise MalformedLine(f"unknown encoder kind {kind!r}")

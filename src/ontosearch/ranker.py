@@ -462,24 +462,17 @@ def save_vector_index(index: VectorIndex, path: str | Path) -> None:
     save_arrays(
         path,
         version=_VECTOR_VERSION,
-        dim=index.dim,
         rows=index.rows,
         fingerprint=index.encoder_fingerprint,
     )
 
 
 def load_vector_index(path: str | Path, graph: OntologyGraph) -> VectorIndex:
-    with decoding(path, "bundle file"):
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["version"])
-            if version != _VECTOR_VERSION:
-                raise MalformedLine(f"unsupported vector index version {version}")
-            dim = int(data["dim"])
-            rows = data["rows"]
-            fingerprint = str(data["fingerprint"])
-        if rows.shape[1:] != (dim,):
-            raise MalformedLine(f"rows of shape {rows.shape}, expected rows {dim} wide")
-        return VectorIndex(graph, rows, fingerprint)
+    with decoding(path, "bundle file"), np.load(path, allow_pickle=False) as data:
+        version = int(data["version"])
+        if version != _VECTOR_VERSION:
+            raise MalformedLine(f"unsupported vector index version {version}")
+        return VectorIndex(graph, data["rows"], str(data["fingerprint"]))
 
 
 def save_bm25_index(index: Bm25Index, path: str | Path) -> None:

@@ -97,10 +97,10 @@ def _body_length(headers) -> int:
     raw = headers.get("Content-Length", "0").strip()
     if not (raw.isascii() and raw.isdigit()):
         raise UsageError(f"Content-Length must be a non-negative integer, got {raw!r}")
-    length = int(raw)
-    if length > MAX_BODY_BYTES:
-        raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
-    return length
+    digits = raw.lstrip("0") or "0"  # so int() never meets its 4,300-digit limit
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise PayloadTooLarge(f"body of {digits} bytes exceeds {MAX_BODY_BYTES}")
+    return int(digits)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -174,7 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"body of {length} bytes not received within {self.timeout} s") from None
         try:
             body = json.loads(raw.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
             raise UsageError(f"bad JSON body: {exc}") from None
         if not isinstance(body, dict):
             raise UsageError("body must be a JSON object")

@@ -13,8 +13,11 @@ A directory written by ``save_bundle`` holds:
                      df/avgdl corruption check; when a BM25 ranker was built
 
 The ontology TSVs alone record which index rows exist and in what order:
-both index files hold rows only and are read against the loaded graph.
-A file that cannot be decoded is reported as ``io.MalformedLine`` naming it.
+both index files hold rows only and are read against the loaded graph,
+and array shapes alone record widths.  ``load_bundle`` checks the rows'
+width and fingerprint against ``encoder.npz``.  A file that cannot be
+decoded, or rows that disagree with the encoder, is reported as
+``io.MalformedLine`` naming it.
 
 ``save_bundle`` writes a whole bundle in this order, into a new or an
 existing directory: it first removes ``meta.json`` and every index file,
@@ -32,7 +35,7 @@ from functools import partial
 from pathlib import Path
 
 from .embedder import Encoder, load_encoder, save_encoder
-from .errors import UsageError
+from .errors import MalformedLine, UsageError
 from .ontology import OntologyGraph, load_ontology, save_ontology
 from .ranker import (
     Bm25Index,
@@ -102,14 +105,16 @@ def load_bundle(index_dir: str | Path) -> IndexBundle:
         root / "concepts.tsv", root / "labels.tsv", root / "relations.tsv"
     )
     vector = encoder = bm25 = None
-    if (root / "vector.npz").exists():
-        vector = load_vector_index(root / "vector.npz", graph)
+    path = root / "vector.npz"
+    if path.exists():
+        vector = load_vector_index(path, graph)
         encoder = load_encoder(root / "encoder.npz")
+        if vector.dim != encoder.dim:
+            raise MalformedLine(f"{path}: rows {vector.dim} wide, but encoder.npz "
+                                f"embeds in {encoder.dim} dimensions")
         if vector.encoder_fingerprint != encoder.fingerprint():
-            raise UsageError(
-                f"{root}: encoder.npz does not match the encoder the vector "
-                "index was built with (fingerprint mismatch)"
-            )
+            raise MalformedLine(f"{path}: built with an encoder other than encoder.npz "
+                                "(fingerprint mismatch)")
     if (root / "bm25.json").exists():
         bm25 = load_bm25_index(root / "bm25.json", graph)
     return IndexBundle(graph=graph, vector=vector, encoder=encoder, bm25=bm25)

@@ -19,6 +19,7 @@ from ontosearch.embedder import (
     PrecomputedEncoder,
     StaticWordVectors,
     SubwordEmbedder,
+    load_encoder,
     save_encoder,
 )
 from ontosearch.npzio import save_arrays
@@ -171,6 +172,48 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "app.OutOfMemory"
         assert not model.exists()
+
+    def test_table_past_numpy_size_limit_is_one_coded_error(self, capsys, tmp_path):
+        """2**70 rows: more elements than a numpy array may hold."""
+        trip = tmp_path / "t"
+        assert main(["triplets", *ontology_args(), "--out", str(trip)]) == 0
+        capsys.readouterr()
+        model = tmp_path / "m.npz"
+        code, out, err = run(
+            capsys, "train", "--triplets", str(trip / "train.tsv"), "--dim", "4",
+            "--buckets", str(2**70), "--epochs", "1", "--out", str(model),
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "app.OutOfMemory"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("seed", [2**64, 2**70, -2**63 - 1])
+    def test_seed_the_model_file_cannot_store_is_refused(self, capsys, tmp_path, seed):
+        """The model file stores the seed as a 64-bit integer: a seed past
+        that range is refused before training, and no model is written."""
+        trip = tmp_path / "t"
+        assert main(["triplets", *ontology_args(), "--out", str(trip)]) == 0
+        capsys.readouterr()
+        model = tmp_path / "m.npz"
+        code, out, err = run(
+            capsys, "train", "--triplets", str(trip / "train.tsv"), "--dim", "4",
+            "--buckets", "16", "--epochs", "1", "--seed", str(seed), "--out", str(model),
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "app.UsageError"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, -2**63])
+    def test_seed_at_the_edge_of_the_range_is_stored(self, capsys, tmp_path, seed):
+        trip = tmp_path / "t"
+        assert main(["triplets", *ontology_args(), "--out", str(trip)]) == 0
+        model = tmp_path / "m.npz"
+        assert main(["train", "--triplets", str(trip / "train.tsv"), "--dim", "4",
+                     "--buckets", "16", "--epochs", "1", "--seed", str(seed),
+                     "--out", str(model)]) == 0
+        assert load_encoder(model).seed == seed
 
 
 class TestQuery:
@@ -871,6 +914,19 @@ def _drop_label(path):
                     encoding="utf-8")
 
 
+def _narrow_rows(path):
+    """Cut the 16-wide rows to 3 columns, fingerprint kept; a ``dim``
+    entry, as files of the old layout carry, says 3 as well."""
+    with np.load(path) as data:
+        rows = data["rows"][:, :3]
+    _rewrite_npz(rows=rows, dim=3)(path)
+
+
+def _swap_encoder(path):
+    """An encoder of the same shape, but not the one the rows came from."""
+    save_encoder(SubwordEmbedder(bucket_count=512, dim=16, seed=8), path)
+
+
 class TestCorruptBundle:
     """A bundle file that cannot be read gives one coded line naming the
     file it was caught in once, never a traceback."""
@@ -896,12 +952,15 @@ class TestCorruptBundle:
         ("encoder.npz", _poison_npz("table", np.inf), "encoder.npz"),
         ("vector.npz", _unknown_compression, "vector.npz"),
         ("encoder.npz", _unknown_compression, "encoder.npz"),
+        # each file reads well alone; the pair disagrees
+        ("vector.npz", _narrow_rows, "vector.npz"),
+        ("encoder.npz", _swap_encoder, "vector.npz"),
     ], ids=["bm25-not-json", "bm25-no-term-freqs", "bm25-one-document", "bm25-version-1", "bm25-k1-nan",
             "bm25-b-2", "vector-not-a-zip",
             "vector-truncated", "vector-no-rows", "vector-version-1", "label-added",
             "label-dropped", "labels-not-utf8", "encoder-not-a-zip", "encoder-truncated",
             "vector-rows-nan", "encoder-table-inf", "vector-compression-99",
-            "encoder-compression-99"])
+            "encoder-compression-99", "vector-narrower-than-encoder", "encoder-swapped"])
     def test_one_malformed_line(self, capsys, built_index, target, corrupt, named):
         corrupt(built_index / target)
         ranker = "bm25" if target == "bm25.json" else "vector"
@@ -922,11 +981,11 @@ class TestIndexModel:
         _truncate,
         _rewrite_npz(table=None),
         _rewrite_npz(version=2),
-        _rewrite_npz(table=np.zeros((16, 3))),
-        _rewrite_npz(kind="wordvec", tokens=np.array(["fatigue"]), matrix=np.ones((1, 3)),
-                     duplicates=0, table=None),
-    ], ids=["text-file", "truncated", "no-table", "version-2", "table-3-wide",
-            "wordvec-matrix-3-wide"])
+        _rewrite_npz(table=np.zeros((16, 4, 1))),
+        _rewrite_npz(kind="wordvec", tokens=np.array(["fatigue"]), matrix=np.ones(3),
+                     table=None),
+    ], ids=["text-file", "truncated", "no-table", "version-2", "table-3-d",
+            "wordvec-matrix-1-d"])
     def test_one_malformed_line(self, capsys, tmp_path, corrupt):
         model = tmp_path / "model.npz"
         save_encoder(SubwordEmbedder(bucket_count=16, dim=4, seed=0), model)
@@ -961,6 +1020,43 @@ class TestIndexModel:
         error = json.loads(err)
         assert error["error"] == "io.MalformedLine"
         assert str(model) in error["message"]
+
+
+class TestOldLayout:
+    """Files written while ``dim``, ``bucket_count`` and ``duplicates`` were
+    stored beside the arrays whose shapes give them: they load, the extra
+    entries unread, and answer byte for byte as before."""
+
+    def test_bundle(self, capsys, built_index):
+        commands = [
+            ["query", "--index", str(built_index), "--q", "tired weariness", "--k", "5"],
+            ["match", "--index", str(built_index), "--source-concepts",
+             str(FIG / "concepts.tsv"), "--source-labels", str(FIG / "labels.tsv")],
+        ]
+        before = [run(capsys, *argv) for argv in commands]
+        _rewrite_npz(dim=16)(built_index / "vector.npz")
+        _rewrite_npz(dim=16, bucket_count=512)(built_index / "encoder.npz")
+        assert [run(capsys, *argv) for argv in commands] == before
+
+    @pytest.mark.parametrize("encoder, old_entries", [
+        (SubwordEmbedder(bucket_count=64, dim=4, seed=3), dict(dim=4, bucket_count=64)),
+        (StaticWordVectors({"fatigue": np.array([1.0, 0.0]), "tired": np.array([0.5, 0.5]),
+                            "weakness": np.array([0.0, 1.0])}, 2), dict(dim=2, duplicates=1)),
+    ], ids=["subword", "wordvec"])
+    def test_model(self, capsys, tmp_path, encoder, old_entries):
+        model = tmp_path / "model.npz"
+
+        def answer(index):
+            assert main(["index", *ontology_args(), "--model", str(model),
+                         "--out", str(index)]) == 0
+            capsys.readouterr()
+            return run(capsys, "query", "--index", str(index), "--q", "tired")
+
+        save_encoder(encoder, model)
+        new = answer(tmp_path / "new")
+        assert new[0] == 0 and new[1]
+        _rewrite_npz(**old_entries)(model)
+        assert answer(tmp_path / "old") == new
 
 
 BAD = "<file with a byte that is not UTF-8>"

@@ -230,7 +230,6 @@ class TestWordVectorFile:
         path.write_text("alpha 1 0\nalpha 0 1\n", encoding="utf-8")
         enc = load_word_vectors(path)
         np.testing.assert_array_equal(enc.vectors["alpha"], [0.0, 1.0])
-        assert enc.duplicates == 1
 
     def test_non_finite_component_rejected(self, tmp_path):
         path = tmp_path / "wv.txt"

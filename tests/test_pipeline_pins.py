@@ -23,12 +23,12 @@ QUERIES = (
 PINNED = {
     "index/bm25.json": "b462e6096108d6a63c1c2e3c7c5efcde60a346509f141deed62384eb94a4be78",
     "index/concepts.tsv": "99646135d78cb5c77b690f96e0a7af5f432932a56c15a7b1174b5a7d14c16787",
-    "index/encoder.npz": "b1b2a1aef072297a2319fdc9bfa955fc4d4f7cf6d972e3c48c39f514d058c46d",
+    "index/encoder.npz": "44fdca7ef93fa0120ef49bdadd6b5974d91310c62c4e80aa0db8280bc625ab6b",
     "index/labels.tsv": "ad970091dec2c96274f03054f5fbb8c4427bd4dd2cc3cb584e430258cd35469e",
     "index/meta.json": "4b05a6021d8d518264e43cb798678e4e513c9a2d24ebc27b73f710bd6e9de82c",
     "index/relations.tsv": "95b317e6125c0c163bfa68d2d88489d78cdcee1426850dd0fad4714826b933b1",
-    "index/vector.npz": "89f6f46f5db17c72b6a0950bca2e2790cf10a577a798d5d5752eefdb20db65d7",
-    "model.npz": "b1b2a1aef072297a2319fdc9bfa955fc4d4f7cf6d972e3c48c39f514d058c46d",
+    "index/vector.npz": "21a0a4590681146e3c0fcc8c950f0f418bdac034c33031f90a92441db5141cdd",
+    "model.npz": "44fdca7ef93fa0120ef49bdadd6b5974d91310c62c4e80aa0db8280bc625ab6b",
     "report.json": "662aca8aef187ad02d6576c47e18321b2f2c947b0cd7e05f0cc36c124574aac4",
     "stdout:eval": "6d02a716a3b0d8d1e10dcd10d8a8eab0da997f1f2d3c719c069491bbab49263e",
     "stdout:index": "c94abee1b812fb6298772303bef915de78a3a610897c026c04bb7980b501f37f",

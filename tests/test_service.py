@@ -440,6 +440,11 @@ lengths = st.one_of(
 @settings(max_examples=200, deadline=None)
 @example(route=("POST", "/match"), query={}, body=b"{}", length=str(10**30))
 @example(route=("POST", "/match"), query={}, body=b"{}", length="64")
+# integers past Python's 4,300-digit limit for integer strings
+@example(route=("POST", "/match"), query={},
+         body=b'{"labels": ["fatigue"], "k": ' + b"9" * 5000 + b"}", length="exact")
+@example(route=("POST", "/match"), query={}, body=b"{}", length="9" * 5000)
+@example(route=("POST", "/match"), query={}, body=b"{}", length="0" * 5000 + "2")
 @example(route=("GET", "/a b c"), query={}, body=b"", length=None)  # 400
 @example(route=("GET", "/" + "a" * (1 << 16)), query={}, body=b"", length=None)  # 414
 @given(route=routes, query=queries,

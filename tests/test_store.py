@@ -3,7 +3,7 @@ import pytest
 
 from ontosearch import store
 from ontosearch.embedder import SubwordEmbedder, save_encoder
-from ontosearch.errors import UsageError
+from ontosearch.errors import MalformedLine, UsageError
 from ontosearch.ranker import build_bm25_index, build_vector_index
 
 
@@ -29,7 +29,7 @@ class TestBundle:
         # swap in a different encoder than the index was built with
         rogue = SubwordEmbedder(bucket_count=256, dim=8, seed=99)
         save_encoder(rogue, bundle_dir / "encoder.npz")
-        with pytest.raises(UsageError, match="fingerprint"):
+        with pytest.raises(MalformedLine, match="vector.npz: .*fingerprint"):
             store.load_bundle(bundle_dir)
 
     def test_not_an_index_dir(self, tmp_path):
