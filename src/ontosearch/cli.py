@@ -24,6 +24,7 @@ from .embedder import (
     save_encoder,
 )
 from .errors import FileNotFound, IoError, MalformedLine, OntoSearchError, OutOfMemory, UsageError
+from .npzio import writing
 from .ontology import load_ontology
 from .ranker import (
     BM25_B,
@@ -301,7 +302,8 @@ def _cmd_eval(args) -> int:
         report.significance.append(significance)
     payload = report.to_json()
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        with writing(args.out) as fh:
+            fh.write(payload)
         print(json.dumps({"out": str(args.out), "queries": len(queries)}))
     else:
         print(payload, end="")

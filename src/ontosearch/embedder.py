@@ -296,6 +296,9 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
     """Persist any encoder to a single ``.npz`` container; no dim is stored."""
     meta = dict(version=_CONTAINER_VERSION, kind=encoder.kind)
     if isinstance(encoder, SubwordEmbedder):
+        if not -(1 << 63) <= encoder.seed < 1 << 64:  # stored as a 64-bit integer
+            raise UsageError(f"seed {encoder.seed} cannot be saved: "
+                             "an encoder file stores a seed in [-2**63, 2**64)")
         save_arrays(
             path,
             **meta,

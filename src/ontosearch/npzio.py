@@ -6,6 +6,9 @@ loaders decode inside ``decoding``, so a file that cannot be decoded is
 reported the same way wherever it is read: one ``io.MalformedLine``
 naming it.
 
+Every file the package writes is written through ``writing``, so it is
+either whole or as it was: a failure mid-write never leaves a partial file.
+
 ``np.savez`` stamps zip entries with the current time, so two identical
 saves differ at the byte level.  Rerunning a command with the same inputs
 must produce identical artifacts, so entries are written with a fixed
@@ -15,6 +18,7 @@ timestamp and in sorted name order.  Files load with plain ``np.load``.
 from __future__ import annotations
 
 import io
+import os
 import zipfile
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -27,8 +31,33 @@ from .errors import MalformedLine
 _EPOCH = (1980, 1, 1, 0, 0, 0)  # earliest timestamp zip can represent
 
 
+@contextmanager
+def writing(path: str | Path, binary: bool = False):
+    """Yield a new file, UTF-8 text or binary, on a temporary name in
+    ``path``'s directory, and move it onto ``path`` once the block ends.  On
+    any exception the temporary file is removed and ``path`` is left as it
+    was.  Opening and moving errors name ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_arrays(path: str | Path, **arrays) -> None:
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+    with writing(path, binary=True) as fh, \
+            zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
             np.lib.format.write_array(

@@ -28,7 +28,7 @@ from .errors import (
     UnknownConceptId,
     UnknownParentId,
 )
-from .npzio import read_rows
+from .npzio import read_rows, writing
 
 
 class RelationKind(enum.Enum):
@@ -271,14 +271,14 @@ def save_ontology(
 ) -> None:
     """Write the three-file TSV form; rows sorted so output is canonical."""
     ids = graph.sorted_ids()
-    with open(concepts_path, "w", encoding="utf-8") as fh:
+    with writing(concepts_path) as fh:
         for cid in ids:
             fh.write(f"{cid}\t{graph.concepts[cid].preferred_label}\n")
-    with open(labels_path, "w", encoding="utf-8") as fh:
+    with writing(labels_path) as fh:
         for cid in ids:
             for label in graph.concepts[cid].labels[1:]:
                 fh.write(f"{cid}\t{label}\n")
-    with open(relations_path, "w", encoding="utf-8") as fh:
+    with writing(relations_path) as fh:
         for cid in ids:
             for pid in sorted(graph.concepts[cid].parent_ids):
                 fh.write(f"{cid}\t{pid}\n")

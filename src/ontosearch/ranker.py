@@ -35,7 +35,7 @@ from .errors import (
     UnknownConceptId,
     UsageError,
 )
-from .npzio import decoding, read_lines, save_arrays
+from .npzio import decoding, read_lines, save_arrays, writing
 from .ontology import OntologyGraph
 
 _NONE = np.intp(np.iinfo(np.intp).max)  # above every row and text position
@@ -485,9 +485,8 @@ def save_bm25_index(index: Bm25Index, path: str | Path) -> None:
         "avgdl": index.avgdl,
         "stopwords": sorted(index.stopwords),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
-        fh.write("\n")
+    with writing(path) as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False) + "\n")
 
 
 def load_bm25_index(path: str | Path, graph: OntologyGraph) -> Bm25Index:

@@ -16,7 +16,12 @@ implementation is Vigna's ``splitmix64.c``):
 
 all in 64-bit wrapping arithmetic.  Bounded draws use rejection sampling on
 the top of the 64-bit range, so ``randrange(n)`` is exactly uniform.
-``uniform_array`` computes a stream of ``uniform`` draws at once in numpy.
+
+The k-th output after state s is a pure function of ``s + k * GAMMA``
+modulo 2^64, so ``_stream`` computes any run of outputs at once in numpy
+``uint64``, whose multiplies wrap as the masked scalar ones do.
+``uniform_array`` and ``SplitMix64.randrange_array`` are built on it and
+equal their scalar draws bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Bounds per block of ``randrange_array``: its temporaries, a few arrays of
+# this length, stay small however many values are drawn.
+_DRAW_BLOCK = 4096
 
 
 class SplitMix64:
@@ -66,29 +74,67 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 
+    def randrange_array(self, bounds) -> np.ndarray:
+        """``[self.randrange(n) for n in bounds]`` as a ``uint64`` array,
+        leaving the generator where those calls would; every bound lies in
+        [1, 2^64).
+
+        The outputs are drawn at once and tested against each bound's
+        rejection limit; from the first rejected draw on, that bound is
+        drawn by ``randrange`` and the rest of the bounds as before.
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64).ravel()
+        if bounds.size and not bounds.all():
+            raise ValueError("randrange() bound must be positive")
+        out = np.empty(bounds.size, dtype=np.uint64)
+        done = 0
+        while done < bounds.size:
+            rest = bounds[done:done + _DRAW_BLOCK]
+            u = _stream(self._state, rest.size)
+            # randrange's u < 2^64 - (2^64 mod n), in uint64 as
+            # u <= (2^64 - 1) - ((2^64 - n) mod n)
+            limit = _MASK64 - rest
+            limit += np.uint64(1)
+            limit %= rest
+            np.subtract(np.uint64(_MASK64), limit, out=limit)
+            accepted = u <= limit
+            stop = rest.size if accepted.all() else int(accepted.argmin())
+            np.remainder(u[:stop], rest[:stop], out=out[done:done + stop])
+            self._state = (self._state + stop * _GAMMA) & _MASK64
+            done += stop
+            if stop < rest.size:  # u[stop] was rejected: draw its bound one value at a time
+                out[done] = self.randrange(int(bounds[done]))
+                done += 1
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, descending index order."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        n = len(items)
+        swaps = self.randrange_array(np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), swaps):
             items[i], items[j] = items[j], items[i]
 
 
-def uniform_array(seed: int, count: int, lo: float, hi: float) -> np.ndarray:
-    """The first ``count`` draws of ``SplitMix64(seed).uniform(lo, hi)``.
-
-    The k-th state is ``seed + k * GAMMA`` modulo 2^64, so the whole stream
-    is computed in numpy ``uint64``, whose multiplies wrap as the masked
-    scalar ones do.  The float operations are those of ``uniform``, in the
-    same order, so every element equals its scalar draw bit for bit.
-    """
+def _stream(state: int, count: int) -> np.ndarray:
+    """The next ``count`` outputs of a SplitMix64 whose state is ``state``."""
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK64)
+    z += np.uint64(state)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
+    return z
+
+
+def uniform_array(seed: int, count: int, lo: float, hi: float) -> np.ndarray:
+    """The first ``count`` draws of ``SplitMix64(seed).uniform(lo, hi)``.
+
+    The float operations are those of ``uniform``, in the same order, so
+    every element equals its scalar draw bit for bit.
+    """
+    z = _stream(seed & _MASK64, count)
     z >>= np.uint64(11)
     out = z.astype(np.float64)
     out *= 2.0 ** -53

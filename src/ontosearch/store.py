@@ -36,6 +36,7 @@ from pathlib import Path
 
 from .embedder import Encoder, load_encoder, save_encoder
 from .errors import MalformedLine, UsageError
+from .npzio import writing
 from .ontology import OntologyGraph, load_ontology, save_ontology
 from .ranker import (
     Bm25Index,
@@ -92,9 +93,8 @@ def save_bundle(
         save_encoder(encoder, out / "encoder.npz")
     if bm25 is not None:
         save_bm25_index(bm25, out / "bm25.json")
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"version": _META_VERSION}, fh, indent=2)
-        fh.write("\n")
+    with writing(out / "meta.json") as fh:
+        fh.write(json.dumps({"version": _META_VERSION}, indent=2) + "\n")
 
 
 def load_bundle(index_dir: str | Path) -> IndexBundle:

@@ -117,13 +117,18 @@ def triplet_loss_gradients(
     return d_va, d_vp, d_vn
 
 
+def _feature_bags(model: SubwordEmbedder, dataset: TripletDataset) -> dict[int, np.ndarray]:
+    """The feature bag of each label ``dataset``'s rows use, by label index."""
+    return {i: model.features(dataset.labels[i]) for i in np.unique(dataset.rows).tolist()}
+
+
 def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset,
-                  bags: dict[str, np.ndarray], margin: float) -> float:
+                  bags: dict[int, np.ndarray], margin: float) -> float:
     total = 0.0
-    for entry in dataset.entries:
-        va, vp, vn = (model.pool(bags[t]) for t in (entry.anchor, entry.positive, entry.negative))
+    for row in dataset.rows.tolist():
+        va, vp, vn = (model.pool(bags[i]) for i in row)
         total += triplet_loss(va, vp, vn, margin)
-    return total / len(dataset.entries)
+    return total / len(dataset)
 
 
 class _Adam:
@@ -201,14 +206,15 @@ def train(
     yields NaN, raises ``train.Diverged`` naming the epoch and step; the
     table is then left part-trained.
     """
-    if not train_set.entries:
+    if not len(train_set):
         raise EmptyDataset("training set is empty")
     history = TrainHistory()
     if cfg.epochs == 0:
         return model, history
 
     rng = SplitMix64(cfg.seed)
-    n = len(train_set.entries)
+    rows = train_set.rows.tolist()
+    n = len(rows)
     n_batches = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
     warmup_steps = math.floor(cfg.warmup_fraction * total_steps)
@@ -218,13 +224,9 @@ def train(
     live = np.zeros(model.table.shape[0], dtype=bool)  # rows some gradient reached
     step = 0
 
-    # Feature bags never change during training; compute each text's once.
-    dev_entries = dev_set.entries if dev_set is not None else []
-    bags: dict[str, np.ndarray] = {}
-    for entry in train_set.entries + dev_entries:
-        for text in (entry.anchor, entry.positive, entry.negative):
-            if text not in bags:
-                bags[text] = model.features(text)
+    # Feature bags never change during training; compute each label's once.
+    bags = _feature_bags(model, train_set)
+    dev_bags = _feature_bags(model, dev_set) if dev_set is not None and len(dev_set) else None
 
     def finite(loss: float) -> float:
         if not math.isfinite(loss):
@@ -242,10 +244,8 @@ def train(
                     step += 1
                     batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
                     for idx in batch:
-                        entry = train_set.entries[idx]
-                        fa = bags[entry.anchor]
-                        fp = bags[entry.positive]
-                        fn = bags[entry.negative]
+                        a, p, neg = rows[idx]
+                        fa, fp, fn = bags[a], bags[p], bags[neg]
                         va, vp, vn = model.pool(fa), model.pool(fp), model.pool(fn)
                         epoch_loss += finite(triplet_loss(va, vp, vn, cfg.margin))
                         d_va, d_vp, d_vn = triplet_loss_gradients(va, vp, vn, cfg.margin)
@@ -259,8 +259,8 @@ def train(
                         lr *= step / warmup_steps
                     adam.step(model.table, grad, live, len(batch), step, lr)
 
-                dev_loss = (finite(_dataset_loss(model, dev_set, bags, cfg.margin))
-                            if dev_entries else None)
+                dev_loss = (finite(_dataset_loss(model, dev_set, dev_bags, cfg.margin))
+                            if dev_bags is not None else None)
                 history.epochs.append(EpochStats(
                     epoch=epoch, train_loss=finite(epoch_loss / n), dev_loss=dev_loss))
         if not all_finite(model.table):

@@ -2,12 +2,14 @@
 were frozen from an independent C implementation of the same definitions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontosearch import rng as rng_module
 from ontosearch.rng import SplitMix64, fnv1a64, uniform_array
 
 # Reference outputs of splitmix64 for a handful of seeds.
@@ -120,3 +122,76 @@ def test_uniform_array_equals_scalar_draws(seed, count, lo, hi):
     got = uniform_array(seed, count, lo, hi)
     assert got.dtype == np.float64 and got.shape == (count,)
     assert got.tobytes() == expected.tobytes()
+
+
+def scalar_shuffle(rng, items):
+    """Fisher-Yates with one ``randrange`` a swap, descending index order."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+# bounds from 1 up, large ones, and ones just past 2^63, where about half of
+# all draws are rejected
+BOUNDS = st.one_of(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=2**64 - 1),
+    st.integers(min_value=2**63 + 1, max_value=2**63 + 1000),
+)
+
+
+@given(st.integers(min_value=-(2**63), max_value=2**64 - 1),
+       st.lists(BOUNDS, max_size=1000), st.integers(min_value=0, max_value=3),
+       st.sampled_from([1, 7, rng_module._DRAW_BLOCK]))
+@settings(max_examples=150, deadline=None)
+def test_randrange_array_equals_scalar_draws(seed, bounds, next_draws, block):
+    """The same values as one ``randrange`` a bound, and the generator left
+    where those calls leave it, whatever the block size of the draws."""
+    ours, scalar = SplitMix64(seed), SplitMix64(seed)
+    with mock.patch.object(rng_module, "_DRAW_BLOCK", block):
+        got = ours.randrange_array(bounds)
+    assert got.dtype == np.uint64 and got.shape == (len(bounds),)
+    assert got.tolist() == [scalar.randrange(n) for n in bounds]
+    assert ([ours.next_u64() for _ in range(next_draws)]
+            == [scalar.next_u64() for _ in range(next_draws)])
+
+
+def test_randrange_array_rejection_path_is_taken():
+    """Past 2^63 about half of all draws are rejected, so a long run of
+    such bounds goes through the scalar continuation many times."""
+    bounds = [2**63 + 1] * 200
+    rng = SplitMix64(5)
+    expected = [rng.randrange(n) for n in bounds]
+    ours = SplitMix64(5)
+    assert ours.randrange_array(bounds).tolist() == expected
+    assert ours._state == rng._state
+    # the state is seed + draws * GAMMA: 200 accepted draws, over 50 rejected
+    draws = (rng._state - 5) * pow(0x9E3779B97F4A7C15, -1, 2**64) % 2**64
+    assert draws > 250
+
+
+def test_randrange_array_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        SplitMix64(0).randrange_array([3, 0, 2])
+
+
+@given(st.integers(min_value=-(2**63), max_value=2**64 - 1),
+       st.integers(min_value=0, max_value=1000))
+@settings(max_examples=100, deadline=None)
+def test_shuffle_equals_scalar_shuffle(seed, n):
+    ours, scalar = SplitMix64(seed), SplitMix64(seed)
+    a, b = list(range(n)), list(range(n))
+    ours.shuffle(a)
+    scalar_shuffle(scalar, b)
+    assert a == b
+    assert ours.next_u64() == scalar.next_u64()
+
+
+def test_shuffle_past_one_block_equals_scalar_shuffle():
+    n = 3 * rng_module._DRAW_BLOCK + 5
+    ours, scalar = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
+    a, b = list(range(n)), list(range(n))
+    ours.shuffle(a)
+    scalar_shuffle(scalar, b)
+    assert a == b
+    assert ours.next_u64() == scalar.next_u64()

@@ -1,8 +1,16 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from synthdata import synthetic_ontology
+from test_ontology import random_dags
 
-from ontosearch.ontology import Concept, OntologyGraph
+from ontosearch import triplets
+from ontosearch.ontology import Concept, OntologyGraph, get_siblings, get_uncles
+from ontosearch.rng import SplitMix64
 from ontosearch.triplets import (
     SplitRatios,
     TripletDataset,
@@ -242,3 +250,135 @@ class TestIO:
         assert manifest["ratios"] == {"train": 0.9, "dev": 0.05, "test": 0.05}
         for name in ("train.tsv", "dev.tsv", "test.tsv"):
             assert (tmp_path / name).exists()
+
+
+class TestEntriesView:
+    def test_reads_like_a_list(self, asthenia_graph):
+        ds = generate_triplets(asthenia_graph, seed=2)
+        view, listed = ds.entries, list(ds.entries)
+        assert ds.rows.dtype == np.int32 and ds.rows.shape == (12, 3)
+        assert len(view) == len(listed) == 12
+        assert view == listed and listed == view and view == ds.entries
+        assert view != listed[:-1] and view != listed[::-1] and view != tuple(listed)
+        assert view[0] == listed[0] and view[-1] == listed[-1]
+        assert view[2:5] == listed[2:5] and view[::-3] == listed[::-3]
+        assert view + listed == listed + view == view + view == listed * 2
+        assert listed[3] in view and view.index(listed[3]) == 3
+        with pytest.raises(IndexError):
+            view[12]
+        with pytest.raises(TypeError):
+            view[0] = listed[1]
+
+    def test_constructor_round_trip(self, asthenia_graph):
+        ds = generate_triplets(asthenia_graph, seed=2)
+        again = TripletDataset(ds.entries, seed=5)
+        assert again.entries == ds.entries and again.seed == 5
+        assert again.labels == sorted({t for e in ds for t in (e.anchor, e.positive, e.negative)})
+        prefix = TripletDataset(ds.entries[:4], ds.seed)
+        assert prefix.entries == ds.entries[:4]
+        empty = TripletDataset([], seed=0)
+        assert len(empty) == 0 and empty.entries == [] and empty.rows.shape == (0, 3)
+
+    def test_a_slice_builds_only_what_it_reads(self, monkeypatch):
+        ds = generate_triplets(synthetic_ontology(4, 10, 4), seed=1)
+        assert len(ds) > 1000
+        built = []
+        monkeypatch.setattr(triplets, "TripletExample",
+                            lambda *fields: built.append(fields) or TripletExample(*fields))
+        prefix = TripletDataset(split_dataset(ds, seed=1)[0].entries[:512], seed=1)
+        assert len(built) == len(prefix) == 512
+
+
+# --- the scalar reference ----------------------------------------------------
+# ``generate_triplets`` and ``split_dataset`` as they were written before the
+# draws moved to numpy: one generator call a draw and one entry object an
+# entry.  The rows must equal these entries for every graph and seed.
+
+def _reference_pool(graph, concept_ids):
+    pool = {label for cid in concept_ids for label in graph.concepts[cid].labels}
+    return sorted(pool)
+
+
+def reference_triplets(graph, seed, single_label_fallback=False, dedup=False):
+    rng = SplitMix64(seed)
+    entries = []
+    for cid in graph.sorted_ids():
+        concept = graph.concepts[cid]
+        parent_pool = _reference_pool(graph, sorted(concept.parent_ids))
+        others = get_siblings(graph, cid) | get_uncles(graph, cid)
+        other_pool = _reference_pool(graph, sorted(others))
+
+        labels = concept.labels
+        if len(labels) == 1:
+            if single_label_fallback and parent_pool and other_pool:
+                p = rng.choice(parent_pool)
+                o = rng.choice(other_pool)
+                entries.append(TripletExample(labels[0], p, o))
+            continue
+        for i, anchor in enumerate(labels):
+            for j, positive in enumerate(labels):
+                if i == j:
+                    continue
+                p = rng.choice(parent_pool) if parent_pool else None
+                o = rng.choice(other_pool) if other_pool else None
+                if p is not None:
+                    entries.append(TripletExample(anchor, positive, p))
+                if o is not None:
+                    entries.append(TripletExample(anchor, positive, o))
+                if p is not None and o is not None:
+                    entries.append(TripletExample(anchor, p, o))
+
+    if dedup:
+        seen = set()
+        unique = []
+        for entry in entries:
+            if entry not in seen:
+                seen.add(entry)
+                unique.append(entry)
+        entries = unique
+    return entries
+
+
+def reference_split(entries, ratios, seed):
+    shuffled = list(entries)
+    rng = SplitMix64(seed)
+    for i in range(len(shuffled) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+    n = len(shuffled)
+    n_dev = math.floor(n * ratios.dev)
+    n_test = math.floor(n * ratios.test)
+    n_train = n - n_dev - n_test
+    return shuffled[:n_train], shuffled[n_train:n_train + n_dev], shuffled[n_train + n_dev:]
+
+
+@st.composite
+def labelled_dags(draw):
+    """``random_dags`` with one to four labels a concept, drawn from a small
+    shared vocabulary, so that labels and whole entries repeat across
+    concepts."""
+    graph = draw(random_dags())
+    words = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+    return OntologyGraph(
+        Concept(id=c.id, labels=tuple(draw(st.lists(words, min_size=1, max_size=4, unique=True))),
+                parent_ids=c.parent_ids)
+        for c in graph.concepts.values()
+    )
+
+
+@given(
+    graph=labelled_dags(),
+    seed=st.integers(min_value=-(2**63), max_value=2**64 - 1),
+    single_label_fallback=st.booleans(),
+    dedup=st.booleans(),
+    ratios=st.sampled_from([SplitRatios(), SplitRatios(0.5, 0.25, 0.25), SplitRatios(0, 0, 1)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_rows_equal_the_scalar_reference(graph, seed, single_label_fallback, dedup, ratios):
+    expected = reference_triplets(graph, seed, single_label_fallback, dedup)
+    ds = generate_triplets(graph, seed, single_label_fallback=single_label_fallback,
+                           dedup=dedup)
+    assert ds.entries == expected
+    parts = split_dataset(ds, ratios, seed)
+    for got, want in zip(parts, reference_split(expected, ratios, seed), strict=True):
+        assert got.entries == want
