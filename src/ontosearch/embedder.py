@@ -48,6 +48,15 @@ def all_finite(array: np.ndarray) -> bool:
     return bool(np.isfinite([array.min(initial=0.0), array.max(initial=0.0)]).all())
 
 
+def pool(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mean of the rows ``ids`` of ``table``; the zero vector when there are
+    none.  The rows are added one after another and the sum divided by their
+    count, as ``table[ids].mean(axis=0)`` does, so the bits are the same."""
+    if ids.size == 0:
+        return np.zeros(table.shape[1], dtype=np.float64)
+    return np.add.reduce(table.take(ids, axis=0), axis=0) / ids.size
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character.
 
@@ -146,14 +155,8 @@ class SubwordEmbedder:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(parts)
 
-    def pool(self, ids: np.ndarray) -> np.ndarray:
-        """Mean of the table rows ``ids``; the zero vector when there are none."""
-        if ids.size == 0:
-            return np.zeros(self.dim, dtype=np.float64)
-        return self.table[ids].mean(axis=0)
-
     def embed(self, text: str) -> np.ndarray:
-        return self.pool(self.features(text))
+        return pool(self.table, self.features(text))
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

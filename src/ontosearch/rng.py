@@ -107,12 +107,14 @@ class SplitMix64:
                 done += 1
         return out
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, descending index order."""
-        n = len(items)
-        swaps = self.randrange_array(np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        for i, j in zip(range(n - 1, 0, -1), swaps):
-            items[i], items[j] = items[j], items[i]
+    def shuffle(self, items) -> None:
+        """In-place Fisher-Yates shuffle of a mutable sequence, descending
+        index order; the swap indices are drawn ``_DRAW_BLOCK`` at a time."""
+        for top in range(len(items) - 1, 0, -_DRAW_BLOCK):
+            stop = max(top - _DRAW_BLOCK, 0)
+            swaps = self.randrange_array(np.arange(top + 1, stop + 1, -1, dtype=np.uint64))
+            for i, j in zip(range(top, stop, -1), swaps.tolist()):
+                items[i], items[j] = items[j], items[i]
 
 
 def _stream(state: int, count: int) -> np.ndarray:

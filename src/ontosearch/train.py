@@ -12,11 +12,12 @@ uses cosine similarity, which is a deliberate asymmetry, not a bug.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedder import SubwordEmbedder, all_finite
+from .embedder import SubwordEmbedder, all_finite, pool
 from .errors import DimensionMismatch, Diverged, EmptyDataset, UsageError
 from .rng import SplitMix64
 from .triplets import TripletDataset
@@ -24,9 +25,9 @@ from .triplets import TripletDataset
 # Below this distance the direction (Va-Vx)/|Va-Vx| is numerically
 # meaningless; the subgradient contribution is defined as zero.
 _DISTANCE_EPS = 1e-12
-# Rows per block of the Adam update: the operands of one block (gradient,
-# both moments, table rows, two scratch buffers; 128 KiB each at dim 64)
-# stay in cache across the update's dozen elementwise passes.
+# Rows per block of the Adam update: the operands of one block (table rows,
+# gradient, both moments, two scratch buffers; 128 KiB each at dim 64) stay
+# in cache across the update's dozen elementwise passes.
 _ADAM_BLOCK_ROWS = 256
 # Adam's moment decay rates and denominator guard, the textbook defaults.
 _ADAM_BETA1 = 0.9
@@ -83,9 +84,7 @@ def _check_dims(*vectors: np.ndarray) -> None:
         raise DimensionMismatch(f"triplet vectors differ in shape: {shapes}")
 
 
-def triplet_loss(
-    va: np.ndarray, vp: np.ndarray, vn: np.ndarray, margin: float = 0.1
-) -> float:
+def triplet_loss(va: np.ndarray, vp: np.ndarray, vn: np.ndarray, margin: float = 0.1) -> float:
     va, vp, vn = (np.asarray(v, dtype=np.float64) for v in (va, vp, vn))
     _check_dims(va, vp, vn)
     d_pos = float(np.linalg.norm(va - vp))
@@ -93,9 +92,8 @@ def triplet_loss(
     return max(d_pos - d_neg + margin, 0.0)
 
 
-def triplet_loss_gradients(
-    va: np.ndarray, vp: np.ndarray, vn: np.ndarray, margin: float = 0.1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def triplet_loss_gradients(va: np.ndarray, vp: np.ndarray, vn: np.ndarray,
+                           margin: float = 0.1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the loss w.r.t. the three pooled vectors.
 
     In the flat region (loss == 0) all three are zero; a distance below
@@ -126,65 +124,64 @@ def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset,
                   bags: dict[int, np.ndarray], margin: float) -> float:
     total = 0.0
     for row in dataset.rows.tolist():
-        va, vp, vn = (model.pool(bags[i]) for i in row)
+        va, vp, vn = (pool(model.table, bags[i]) for i in row)
         total += triplet_loss(va, vp, vn, margin)
     return total / len(dataset)
 
 
+def _block_plans(bags: dict[int, np.ndarray]) -> tuple[np.ndarray, dict]:
+    """The rows ``bags`` reach, ascending, and by label its bag as positions
+    in them plus its layers: the k-th holds, ascending, each position the
+    bag names more than k times, so adding a vector to every layer in turn
+    adds it to each row as often, and in the order, that ``np.add.at`` would."""
+    sizes = [ids.size for ids in bags.values()]
+    reach, at = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *bags.values()]),
+                          return_inverse=True)
+    width = max(reach.size, 1)
+    # each (bag, position) once, in bag then position order, and its count
+    pairs, counts = np.unique(np.repeat(np.arange(len(sizes)), sizes) * width + at,
+                              return_counts=True)
+    pieces = [(at, sizes)]
+    for k in range(counts.max(initial=0)):
+        layer = pairs[counts > k]
+        pieces.append((layer % width, np.bincount(layer // width, minlength=len(sizes)).tolist()))
+    cut = [[values[end - size:end] for size, end in zip(lengths, np.cumsum(lengths).tolist())]
+           for values, lengths in pieces]
+    return reach, {i: (at, [layer for layer in layers if layer.size])
+                   for i, at, *layers in zip(bags, *cut)}
+
+
 class _Adam:
-    """Adam over the live rows of the table, run one block of rows at a
-    time through scratch buffers allocated once.
-
-    Per element it performs the operations of the textbook update in the
-    same order -- ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``, then
-    ``table -= (lr * m_hat) / (sqrt(v_hat) + eps)`` -- so the result is bit
-    for bit that of the whole-array expressions.
-
-    Only live rows, those some gradient has reached, need the update: a row
-    whose g, m and v are all +0.0 keeps them at +0.0 and its step is
-    ``(0/c1*lr) / (sqrt(0/c2) + eps) == +0.0``, and ``t - 0.0`` is ``t``
-    bit for bit.  So the step gathers the live rows into scratch, updates
-    them there and scatters them back.
-    """
+    """Adam over every row of a table block, ``_ADAM_BLOCK_ROWS`` rows at a
+    time, by the textbook update's operations in its order (``m = b1*m +
+    (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``, ``table -= (lr * m_hat) /
+    (sqrt(v_hat) + eps)``), so bit for bit as the whole-array expressions.
+    New rows are computed in scratch and copied in once their arithmetic
+    has succeeded, so a step that overflows leaves the table finite."""
 
     def __init__(self, shape: tuple[int, int]):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        rows = min(shape[0], _ADAM_BLOCK_ROWS)
-        self._a, self._b, self._g, self._m, self._v, self._t = (
-            np.empty((rows, shape[1])) for _ in range(6))
+        self.m, self.v = np.zeros(shape), np.zeros(shape)
+        self._a, self._b = np.empty((2, min(shape[0], _ADAM_BLOCK_ROWS), shape[1]))
 
-    def step(self, table: np.ndarray, grad: np.ndarray, live: np.ndarray,
-             batch: int, step: int, lr: float) -> None:
+    def step(self, table: np.ndarray, grad: np.ndarray, batch: int, step: int, lr: float) -> None:
         """Apply the mean gradient ``grad / batch``, then zero ``grad`` for
-        the next batch.  ``live`` marks every row whose gradient may be
-        nonzero, now or at any earlier step."""
+        the next batch."""
         c1, c2 = 1.0 - _ADAM_BETA1 ** step, 1.0 - _ADAM_BETA2 ** step
-        ids = np.flatnonzero(live)
-        for lo in range(0, ids.size, _ADAM_BLOCK_ROWS):
-            rows = ids[lo:lo + _ADAM_BLOCK_ROWS]
-            n = rows.size
-            a, b = self._a[:n], self._b[:n]
-            t, g, m, v = self._t[:n], self._g[:n], self._m[:n], self._v[:n]
-            for full, part in ((table, t), (grad, g), (self.m, m), (self.v, v)):
-                np.take(full, rows, axis=0, out=part)
+        for lo in range(0, len(table), _ADAM_BLOCK_ROWS):
+            rows = slice(lo, lo + _ADAM_BLOCK_ROWS)
+            t, g, m, v = table[rows], grad[rows], self.m[rows], self.v[rows]
+            a, b = self._a[:len(t)], self._b[:len(t)]
             g /= batch
             m *= _ADAM_BETA1
-            np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
-            m += a
+            m += np.multiply(g, 1.0 - _ADAM_BETA1, out=a)
             v *= _ADAM_BETA2
-            np.square(g, out=a)
-            a *= 1.0 - _ADAM_BETA2
-            v += a
-            np.divide(m, c1, out=a)
-            a *= lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
+            v += np.multiply(np.square(g, out=a), 1.0 - _ADAM_BETA2, out=a)
+            np.multiply(np.divide(m, c1, out=a), lr, out=a)
+            np.sqrt(np.divide(v, c2, out=b), out=b)
             b += _ADAM_EPS
             a /= b
-            t -= a
-            table[rows], self.m[rows], self.v[rows] = t, m, v
-            grad[rows] = 0.0
+            t[...] = np.subtract(t, a, out=a)
+            g.fill(0.0)
 
 
 def train(
@@ -202,9 +199,11 @@ def train(
     Per-epoch mean train loss and dev loss land in the returned history.
     Everything is deterministic given ``cfg.seed``.
 
-    A loss that is not finite, or a step whose arithmetic overflows or
-    yields NaN, raises ``train.Diverged`` naming the epoch and step; the
-    table is then left part-trained.
+    Training runs on a copy of the table rows the training set's bags
+    reach, written back after each epoch and on every exit; the gradient
+    and Adam's moments have its size.  A non-finite loss, or a step whose
+    arithmetic overflows or yields NaN, raises ``train.Diverged`` naming
+    the epoch and step; training writes no non-finite value to the table.
     """
     if not len(train_set):
         raise EmptyDataset("training set is empty")
@@ -213,20 +212,18 @@ def train(
         return model, history
 
     rng = SplitMix64(cfg.seed)
-    rows = train_set.rows.tolist()
-    n = len(rows)
-    n_batches = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * n_batches
+    n = len(train_set)
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
     warmup_steps = math.floor(cfg.warmup_fraction * total_steps)
 
-    adam = _Adam(model.table.shape)
-    grad = np.zeros_like(model.table)
-    live = np.zeros(model.table.shape[0], dtype=bool)  # rows some gradient reached
-    step = 0
-
-    # Feature bags never change during training; compute each label's once.
+    # Feature bags never change during training; plan each label's once.
     bags = _feature_bags(model, train_set)
     dev_bags = _feature_bags(model, dev_set) if dev_set is not None and len(dev_set) else None
+    reach, plans = _block_plans(bags)
+    block = model.table[reach]
+    adam = _Adam(block.shape)
+    grad = np.zeros_like(block)
+    step = 0
 
     def finite(loss: float) -> float:
         if not math.isfinite(loss):
@@ -237,28 +234,29 @@ def train(
         # an overflow or NaN anywhere in a step stops training, not just warns
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(1, cfg.epochs + 1):
-                order = list(range(n))
+                order = array("q", range(n))
                 rng.shuffle(order)
                 epoch_loss = 0.0
-                for b in range(n_batches):
+                for lo in range(0, n, cfg.batch_size):
                     step += 1
-                    batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-                    for idx in batch:
-                        a, p, neg = rows[idx]
-                        fa, fp, fn = bags[a], bags[p], bags[neg]
-                        va, vp, vn = model.pool(fa), model.pool(fp), model.pool(fn)
+                    batch = train_set.rows[order[lo:lo + cfg.batch_size]].tolist()
+                    for row in batch:
+                        triple = [plans[i] for i in row]
+                        va, vp, vn = (pool(block, at) for at, _ in triple)
                         epoch_loss += finite(triplet_loss(va, vp, vn, cfg.margin))
-                        d_va, d_vp, d_vn = triplet_loss_gradients(va, vp, vn, cfg.margin)
-                        for ids, dv in ((fa, d_va), (fp, d_vp), (fn, d_vn)):
-                            if ids.size:
-                                np.add.at(grad, ids, dv / ids.size)
-                                live[ids] = True
+                        grads = triplet_loss_gradients(va, vp, vn, cfg.margin)
+                        for (at, layers), dv in zip(triple, grads):
+                            if layers:
+                                w = dv / at.size
+                                for layer in layers:
+                                    grad[layer] += w
 
                     lr = cfg.learning_rate
                     if warmup_steps > 0 and step <= warmup_steps:
                         lr *= step / warmup_steps
-                    adam.step(model.table, grad, live, len(batch), step, lr)
+                    adam.step(block, grad, len(batch), step, lr)
 
+                model.table[reach] = block
                 dev_loss = (finite(_dataset_loss(model, dev_set, dev_bags, cfg.margin))
                             if dev_bags is not None else None)
                 history.epochs.append(EpochStats(
@@ -267,4 +265,6 @@ def train(
             raise FloatingPointError("the table has non-finite entries")
     except FloatingPointError as exc:
         raise Diverged(f"training diverged at epoch {epoch}, step {step}: {exc}") from None
+    finally:
+        model.table[reach] = block
     return model, history

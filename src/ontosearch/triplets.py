@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,14 +165,16 @@ def generate_triplets(
     plan: list[tuple[int, int, int, int, int, int]] = []
     for cid in graph.sorted_ids():
         concept = graph.concepts[cid]
+        n = len(concept.labels)
+        if n == 1 and not single_label_fallback:
+            continue  # no pair, so no draw: its pools are not needed
         parent_pool = sorted({i for pid in concept.parent_ids for i in label_ids[pid]})
         others = get_siblings(graph, cid) | get_uncles(graph, cid)
         other_pool = sorted({i for oid in others for i in label_ids[oid]})
-        n = len(concept.labels)
         if n > 1:
             pairs = n * (n - 1) if parent_pool or other_pool else 0
         else:
-            pairs = int(single_label_fallback and bool(parent_pool) and bool(other_pool))
+            pairs = int(bool(parent_pool) and bool(other_pool))
         if pairs:
             plan.append((len(concept_labels), n, pairs,
                          len(pools), len(parent_pool), len(other_pool)))
@@ -224,7 +227,7 @@ def split_dataset(
     """Shuffle with ``seed`` and partition: dev and test get floor(N*ratio)
     entries each (taken from the shuffled tail), train keeps the remainder."""
     n = len(dataset)
-    order = list(range(n))
+    order = array("q", range(n))  # 8 B an entry, and numpy indexes by it in place
     SplitMix64(seed).shuffle(order)
     shuffled = dataset.rows[order]
     n_dev = math.floor(n * ratios.dev)

@@ -312,3 +312,25 @@ class TestEncoderContainer:
         assert isinstance(back, PrecomputedEncoder)
         np.testing.assert_array_equal(back.embed("a b"), [3.0, -4.0])
         assert back.fingerprint() == enc.fingerprint()
+
+
+@given(
+    rows=st.integers(1, 50),
+    dim=st.integers(1, 9),
+    size=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pool_has_the_bits_of_the_mean(rows, dim, size, seed):
+    """``pool`` adds the rows one after another and divides by their count,
+    as ``mean`` does, so the two agree bit for bit, repeated rows and
+    signed zeros included."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(scale=rng.choice([1e-300, 1.0, 1e300]), size=(rows, dim))
+    table[rng.random(table.shape) < 0.2] = -0.0
+    ids = rng.integers(0, rows, size)
+    assert embedder.pool(table, ids).tobytes() == table[ids].mean(axis=0).tobytes()
+
+
+def test_pool_of_no_rows_is_the_zero_vector():
+    pooled = embedder.pool(np.ones((3, 4)), np.zeros(0, dtype=np.int64))
+    assert pooled.tobytes() == np.zeros(4).tobytes()

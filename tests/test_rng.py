@@ -195,3 +195,31 @@ def test_shuffle_past_one_block_equals_scalar_shuffle():
     scalar_shuffle(scalar, b)
     assert a == b
     assert ours.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2, rng_module._DRAW_BLOCK + 1])
+def test_shuffle_at_block_edges_equals_scalar_shuffle(extra):
+    n = rng_module._DRAW_BLOCK + extra
+    ours, scalar = SplitMix64(11), SplitMix64(11)
+    a, b = list(range(n)), list(range(n))
+    ours.shuffle(a)
+    scalar_shuffle(scalar, b)
+    assert a == b
+    assert ours.next_u64() == scalar.next_u64()
+
+
+def test_shuffle_draws_one_block_of_bounds_at_a_time():
+    """The swap indices are drawn at most ``_DRAW_BLOCK`` at a time, so the
+    shuffle's temporaries stay small however long the sequence."""
+    n = 2 * rng_module._DRAW_BLOCK + 3
+    drawn = []
+    draw = SplitMix64.randrange_array
+
+    def recording(self, bounds):
+        drawn.append(len(bounds))
+        return draw(self, bounds)
+
+    with mock.patch.object(SplitMix64, "randrange_array", recording):
+        SplitMix64(4).shuffle(list(range(n)))
+    assert max(drawn) <= rng_module._DRAW_BLOCK
+    assert sum(drawn) == n - 1

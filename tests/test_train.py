@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +16,8 @@ from ontosearch.train import (
     triplet_loss,
     triplet_loss_gradients,
 )
-from ontosearch.triplets import TripletDataset, generate_triplets, split_dataset
+from ontosearch.rng import SplitMix64
+from ontosearch.triplets import TripletDataset, TripletExample, generate_triplets, split_dataset
 
 
 class TestTripletLoss:
@@ -206,12 +207,12 @@ def signed_zeros(rng, values):
     return values
 
 
-def dense_adam_run(table, steps, batch, lr):
+def dense_adam_run(table, grads, batch, lr):
     """The textbook Adam over every row of the table, as whole-array
     expressions; the bytes of the table, m and v."""
     table = table.copy()
     m, v = np.zeros_like(table), np.zeros_like(table)
-    for number, (grad, _) in enumerate(steps, start=1):
+    for number, grad in enumerate(grads, start=1):
         g = grad / batch
         m = m * 0.9 + g * (1.0 - 0.9)
         v = v * 0.999 + np.square(g) * (1.0 - 0.999)
@@ -220,23 +221,22 @@ def dense_adam_run(table, steps, batch, lr):
     return table.tobytes(), m.tobytes(), v.tobytes()
 
 
-def adam_run(table, steps, batch, lr):
-    """Run ``_Adam.step`` over ``steps``, a list of (gradient, live mask);
-    the bytes of the table, m and v."""
+def adam_run(table, grads, batch, lr):
+    """Run ``_Adam.step`` over ``grads``; the bytes of the table, m and v."""
     table = table.copy()
     adam = _Adam(table.shape)
-    for number, (grad, live) in enumerate(steps, start=1):
+    for number, grad in enumerate(grads, start=1):
         grad = grad.copy()
-        adam.step(table, grad, live, batch, number, lr)
+        adam.step(table, grad, batch, number, lr)
         assert not grad.any()
     return table.tobytes(), adam.m.tobytes(), adam.v.tobytes()
 
 
-class TestAdamLiveRows:
+class TestAdamBlock:
     @given(
-        rows=st.integers(1, 700),
+        rows=st.integers(0, 700),
         dim=st.integers(1, 9),
-        # the live share each step grows to, from none to all
+        # the share of rows each step's gradient reaches, from none to all
         shares=st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.6, 1.0]),
                         min_size=1, max_size=30),
         batch=st.integers(1, 40),
@@ -244,29 +244,28 @@ class TestAdamLiveRows:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_live_row_step_equals_dense_step(self, rows, dim, shares, batch, lr, seed):
-        """Stepping only the live rows leaves the table, m and v with the
-        bytes of the textbook update over every row."""
+    def test_block_step_equals_dense_step(self, rows, dim, shares, batch, lr, seed):
+        """Stepping the block, ``_ADAM_BLOCK_ROWS`` rows at a time, leaves
+        the table, m and v with the bytes of the whole-array textbook
+        update; rows no gradient has reached yet are stepped too."""
         rng = np.random.default_rng(seed)
         table = signed_zeros(rng, rng.normal(size=(rows, dim)))
-        order = rng.permutation(rows)
-        live = np.zeros(rows, dtype=bool)
-        steps = []
+        grads = []
         for share in shares:
-            live[order[:math.ceil(share * rows)]] = True
             grad = np.zeros((rows, dim))
-            reached = live & (rng.random(rows) < 0.6)  # rows this batch's gradient reaches
+            reached = rng.random(rows) < share
             grad[reached] = signed_zeros(rng, rng.normal(size=(reached.sum(), dim)))
-            steps.append((grad, live.copy()))
-        assert adam_run(table, steps, batch, lr) == dense_adam_run(table, steps, batch, lr)
+            grads.append(grad)
+        assert adam_run(table, grads, batch, lr) == dense_adam_run(table, grads, batch, lr)
 
     def test_never_touched_row_keeps_its_bits(self):
+        """A row no feature bag of the training set reaches keeps its bits,
+        and Adam's state covers the reached rows only."""
         train_set, dev_set, _ = training_inputs()
         model = SubwordEmbedder(bucket_count=4096, dim=4, seed=8)
-        texts = {t for e in train_set.entries + dev_set.entries
-                 for t in (e.anchor, e.positive, e.negative)}
-        touched = np.unique(np.concatenate([model.features(t) for t in texts]))
-        untouched = np.setdiff1d(np.arange(4096), touched)[:3]
+        texts = {train_set.labels[i] for i in np.unique(train_set.rows).tolist()}
+        reach = np.unique(np.concatenate([model.features(t) for t in texts]))
+        untouched = np.setdiff1d(np.arange(4096), reach)[:3]
         assert untouched.size == 3
         model.table[untouched] = [[-0.0] * 4, [5e-324, -5e-324, 0.0, -0.0], [1e300] * 4]
         before = model.table[untouched].tobytes()
@@ -282,6 +281,67 @@ class TestAdamLiveRows:
                   TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=8))
         assert model.table[untouched].tobytes() == before
         (adam,) = adams
-        zeros = np.zeros((3, 4)).tobytes()  # +0.0, not -0.0
-        assert adam.m[untouched].tobytes() == zeros
-        assert adam.v[untouched].tobytes() == zeros
+        assert adam.m.shape == adam.v.shape == (reach.size, 4)
+
+    def test_no_state_the_size_of_the_table(self):
+        """The gradient and both moments have the size of the reached rows,
+        not of the table: training a 4 MB table on a small set allocates a
+        small fraction of that."""
+        train_set, dev_set, _ = training_inputs()
+        model = SubwordEmbedder(bucket_count=1 << 16, dim=8, seed=9)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=9)
+        tracemalloc.start()
+        try:
+            train(model, train_set, dev_set, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.table.nbytes / 8
+
+    def test_overflowing_step_leaves_the_block_as_it_was(self):
+        """An overflow in the last operation of a step raises before any
+        row of its block is written."""
+        table = np.array([[1.7e308, 0.5], [-1.0, 2.0]])
+        before = table.tobytes()
+        grad = np.array([[-1.0, 1.0], [1.0, 1.0]])  # a step of about +1e308 for row 0
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _Adam(table.shape).step(table, grad, 1, 1, 1e308)
+        assert table.tobytes() == before
+
+
+def divergence_model(labels):
+    """A one-column table whose rows for ``labels`` hold the given values;
+    each one-letter label's feature bag is one row named twice."""
+    model = SubwordEmbedder(bucket_count=4096, dim=1, seed=0)
+    rows = {label: model.features(label) for label in labels}
+    assert all(ids.size == 2 and ids[0] == ids[1] for ids in rows.values())
+    assert len({int(ids[0]) for ids in rows.values()}) == len(labels)
+    for label, value in labels.items():
+        model.table[rows[label][0]] = value
+    return model
+
+
+def test_overflow_inside_a_step_keeps_the_completed_steps():
+    """Warm-up doubles the learning rate, to the largest float, from the
+    first step to the second, and the second overflows inside Adam
+    (``lr * m_hat`` at the anchor row, whose gradient is 2).  ``Diverged``
+    names that step, and the table holds the first step's update and
+    nothing of the second, every entry finite."""
+    values = {"a": 0.0, "b": -0.1, "c": 0.15, "d": 0.0, "e": 0.1, "f": 0.15}
+    first, second = TripletExample("d", "e", "f"), TripletExample("a", "b", "c")
+    lr = np.finfo(np.float64).max
+    cfg = TrainConfig(learning_rate=lr, epochs=1, batch_size=1, warmup_fraction=1.0, seed=3)
+    order = [0, 1]
+    SplitMix64(cfg.seed).shuffle(order)
+    entries = [first, second] if order == [0, 1] else [second, first]
+    expected = divergence_model(values)
+    train(expected, TripletDataset([first], seed=0), None,
+          TrainConfig(learning_rate=lr / 2, epochs=1, batch_size=1, warmup_fraction=0.0))
+    assert np.isfinite(expected.table).all()
+    assert expected.table.tobytes() != divergence_model(values).table.tobytes()
+
+    model = divergence_model(values)
+    with pytest.raises(Diverged, match=r"epoch 1, step 2: overflow"):
+        train(model, TripletDataset(entries, seed=0), None, cfg)
+    assert np.isfinite(model.table).all()
+    assert model.table.tobytes() == expected.table.tobytes()
