@@ -10,6 +10,10 @@ Three implementations share the contract:
   word-vector-averaging baseline;
 * ``PrecomputedEncoder`` -- exact full-string lookup, the adapter through
   which externally computed sentence vectors enter the system.
+
+The two keyed encoders store one form: ``index`` maps a token or text to its
+row of ``table``, one 2-D matrix of the rows in the order and dtype given.
+Precomputed ``embed`` returns a copy of the row, its exact bits.
 """
 
 from __future__ import annotations
@@ -168,55 +172,52 @@ class SubwordEmbedder:
         return h.hexdigest()
 
 
-def _table_fingerprint(kind: str, dim: int, table: dict[str, np.ndarray]) -> str:
-    """sha256 over the kind, the shape and every (key, vector) in key order."""
-    h = hashlib.sha256()
-    h.update(f"{kind}:{dim}:{len(table)}:".encode())
-    for key in sorted(table):
-        h.update(key.encode("utf-8") + b"\x00")
-        h.update(np.ascontiguousarray(table[key]).tobytes())
-    return h.hexdigest()
+class _KeyedEncoder:
+    """One vector per key: ``index`` maps a key to its row of ``table``.  A
+    subclass names its ``kind`` and ``keys_name``, its keys' container array."""
+
+    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
+        if dim < 1:
+            raise UsageError("dim must be >= 1")
+        self.dim = dim
+        self.index = {key: row for row, key in enumerate(vectors)}
+        self.table = np.array(list(vectors.values())) if vectors else np.zeros((0, dim))
+        if self.table.shape[1:] != (dim,):
+            raise UsageError(f"vectors of shape {self.table.shape[1:]}, expected ({dim},)")
+
+    def fingerprint(self) -> str:
+        """sha256 over the kind, the shape and every (key, vector) in key order."""
+        h = hashlib.sha256()
+        h.update(f"{self.kind}:{self.dim}:{len(self.index)}:".encode())
+        for key in sorted(self.index):
+            h.update(key.encode("utf-8") + b"\x00")
+            h.update(self.table[self.index[key]])  # a row of a C-order matrix: contiguous
+        return h.hexdigest()
 
 
-class StaticWordVectors:
+class StaticWordVectors(_KeyedEncoder):
     """Mean of known token vectors; unknown tokens are skipped and a text
     with no known tokens embeds to the zero vector."""
 
     kind = "wordvec"
-
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        self.vectors = vectors
-        self.dim = dim
+    keys_name = "tokens"
 
     def embed(self, text: str) -> np.ndarray:
-        rows = [self.vectors[t] for t in tokenize(text) if t in self.vectors]
-        if not rows:
-            return np.zeros(self.dim, dtype=np.float64)
-        return np.mean(rows, axis=0)
-
-    def fingerprint(self) -> str:
-        return _table_fingerprint(self.kind, self.dim, self.vectors)
+        ids = [self.index[t] for t in tokenize(text) if t in self.index]
+        return pool(self.table, np.array(ids, dtype=np.int64))
 
 
-class PrecomputedEncoder:
+class PrecomputedEncoder(_KeyedEncoder):
     """Exact-string lookup over externally computed vectors."""
 
     kind = "precomputed"
-
-    def __init__(self, table: dict[str, np.ndarray], dim: int):
-        self.table = table
-        self.dim = dim
+    keys_name = "texts"
 
     def embed(self, text: str) -> np.ndarray:
         try:
-            return self.table[text]
+            return self.table[self.index[text]].copy()
         except KeyError:
-            raise MissingEmbedding(
-                f"no precomputed embedding for {text!r}"
-            ) from None
-
-    def fingerprint(self) -> str:
-        return _table_fingerprint(self.kind, self.dim, self.table)
+            raise MissingEmbedding(f"no precomputed embedding for {text!r}") from None
 
 
 Encoder = SubwordEmbedder | StaticWordVectors | PrecomputedEncoder
@@ -237,6 +238,8 @@ def _read_vectors(path: Path, rows: Iterable[tuple[int, str, list[str]]]
             vec = np.asarray([float(x) for x in fields], dtype=np.float64)
         except ValueError:
             raise MalformedLine(f"{path}:{lineno}: non-numeric vector component") from None
+        if not vec.size:
+            raise MalformedLine(f"{path}:{lineno}: no vector components")
         if not np.isfinite(vec).all():
             raise MalformedLine(f"{path}:{lineno}: non-finite vector component")
         if dim is None:
@@ -310,26 +313,9 @@ def save_encoder(encoder: Encoder, path: str | Path) -> None:
             seed=encoder.seed,
             table=encoder.table,
         )
-    elif isinstance(encoder, StaticWordVectors):
-        tokens = list(encoder.vectors)
-        save_arrays(
-            path,
-            **meta,
-            tokens=np.asarray(tokens, dtype=np.str_),
-            matrix=np.stack([encoder.vectors[t] for t in tokens])
-            if tokens else np.zeros((0, encoder.dim)),
-        )
-    elif isinstance(encoder, PrecomputedEncoder):
-        texts = list(encoder.table)
-        save_arrays(
-            path,
-            **meta,
-            texts=np.asarray(texts, dtype=np.str_),
-            matrix=np.stack([encoder.table[t] for t in texts])
-            if texts else np.zeros((0, encoder.dim)),
-        )
-    else:  # pragma: no cover - union is closed
-        raise TypeError(f"unknown encoder type {type(encoder)!r}")
+    else:
+        keys = np.asarray(list(encoder.index), dtype=np.str_)
+        save_arrays(path, **meta, **{encoder.keys_name: keys}, matrix=encoder.table)
 
 
 def _two_d(data, name: str) -> np.ndarray:
@@ -340,12 +326,7 @@ def _two_d(data, name: str) -> np.ndarray:
     return array
 
 
-def _row_table(keys: np.ndarray, matrix: np.ndarray) -> tuple[dict[str, np.ndarray], int]:
-    """``({key: its row of matrix}, dim)`` of a 2-D ``matrix`` with one row
-    per key; a matrix that holds NaN or ±inf is refused."""
-    if not all_finite(matrix):
-        raise MalformedLine("matrix holds NaN or infinite values")
-    return {str(key): row.copy() for key, row in zip(keys, matrix, strict=True)}, matrix.shape[1]
+_KEYED = {cls.kind: cls for cls in (StaticWordVectors, PrecomputedEncoder)}
 
 
 def load_encoder(path: str | Path) -> Encoder:
@@ -363,8 +344,12 @@ def load_encoder(path: str | Path) -> Encoder:
                 seed=int(data["seed"]),
                 table=table,
             )
-        if kind == "wordvec":
-            return StaticWordVectors(*_row_table(data["tokens"], _two_d(data, "matrix")))
-        if kind == "precomputed":
-            return PrecomputedEncoder(*_row_table(data["texts"], _two_d(data, "matrix")))
-        raise MalformedLine(f"unknown encoder kind {kind!r}")
+        if kind not in _KEYED:
+            raise MalformedLine(f"unknown encoder kind {kind!r}")
+        cls = _KEYED[kind]
+        matrix, keys = _two_d(data, "matrix"), data[cls.keys_name]
+        if keys.shape != matrix.shape[:1]:
+            raise MalformedLine(f"{keys.shape} keys for a matrix of shape {matrix.shape}")
+        if not all_finite(matrix):
+            raise MalformedLine("matrix holds NaN or infinite values")
+        return cls(dict(zip(keys.astype(str).tolist(), matrix)), matrix.shape[1])

@@ -24,7 +24,9 @@ from ontosearch.errors import (
     InconsistentDimension,
     MalformedLine,
     MissingEmbedding,
+    UsageError,
 )
+from ontosearch.npzio import save_arrays
 from ontosearch.rng import fnv1a64
 
 
@@ -205,13 +207,13 @@ class TestWordVectorFile:
         path.write_text("alpha 1 0 0\nbeta 0 1 0\n", encoding="utf-8")
         enc = load_word_vectors(path)
         assert enc.dim == 3
-        assert set(enc.vectors) == {"alpha", "beta"}
+        assert set(enc.index) == {"alpha", "beta"}
 
     def test_header_line_accepted(self, tmp_path):
         path = tmp_path / "wv.txt"
         path.write_text("2 3\nalpha 1 0 0\nbeta 0 1 0\n", encoding="utf-8")
         enc = load_word_vectors(path)
-        assert set(enc.vectors) == {"alpha", "beta"}
+        assert set(enc.index) == {"alpha", "beta"}
 
     def test_inconsistent_dimension(self, tmp_path):
         path = tmp_path / "wv.txt"
@@ -229,7 +231,7 @@ class TestWordVectorFile:
         path = tmp_path / "wv.txt"
         path.write_text("alpha 1 0\nalpha 0 1\n", encoding="utf-8")
         enc = load_word_vectors(path)
-        np.testing.assert_array_equal(enc.vectors["alpha"], [0.0, 1.0])
+        np.testing.assert_array_equal(enc.embed("alpha"), [0.0, 1.0])
 
     def test_non_finite_component_rejected(self, tmp_path):
         path = tmp_path / "wv.txt"
@@ -334,3 +336,42 @@ def test_pool_has_the_bits_of_the_mean(rows, dim, size, seed):
 def test_pool_of_no_rows_is_the_zero_vector():
     pooled = embedder.pool(np.ones((3, 4)), np.zeros(0, dtype=np.int64))
     assert pooled.tobytes() == np.zeros(4).tobytes()
+
+
+def test_precomputed_row_without_components_is_refused(tmp_path):
+    path = tmp_path / "pre.tsv"
+    path.write_text("Asthenia\t\nFatigue\t \n", encoding="utf-8")
+    with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:1: "):
+        load_precomputed(path)
+
+
+@pytest.mark.parametrize("kind, keys", [("wordvec", "tokens"), ("precomputed", "texts")])
+def test_container_without_columns_is_refused(tmp_path, kind, keys):
+    path = tmp_path / "enc.npz"
+    save_arrays(path, version=1, kind=kind, matrix=np.zeros((2, 0)),
+                **{keys: np.array(["Asthenia", "Fatigue"])})
+    with pytest.raises(MalformedLine, match="dim must be >= 1"):
+        load_encoder(path)
+
+
+@pytest.mark.parametrize("make", [StaticWordVectors, PrecomputedEncoder])
+@pytest.mark.parametrize("vectors, dim, message", [
+    ({}, 0, "dim must be >= 1"),
+    ({"a": np.ones(3)}, 2, r"vectors of shape \(3,\), expected \(2,\)"),
+], ids=["zero-dim", "rows-wider-than-dim"])
+def test_keyed_encoder_refuses_a_bad_dim(make, vectors, dim, message):
+    with pytest.raises(UsageError, match=message):
+        make(vectors, dim)
+
+
+def test_precomputed_embed_returns_a_copy():
+    enc = PrecomputedEncoder({"a": np.array([1.0, 2.0])}, dim=2)
+    enc.embed("a")[0] = 99.0
+    assert enc.embed("a").tolist() == [1.0, 2.0]
+
+
+def test_precomputed_embed_keeps_the_row_bits():
+    enc = PrecomputedEncoder({"a": np.array([-0.0, 1.0], dtype=np.float32)}, dim=2)
+    vec = enc.embed("a")
+    assert vec.dtype == np.float32
+    assert vec.tobytes() == np.array([-0.0, 1.0], dtype=np.float32).tobytes()

@@ -409,7 +409,7 @@ def test_concept_search_equals_the_per_label_fold(graph_index, onto, data):
     rest, and k from 1 to past the number of concepts."""
     _, index = graph_index
     texts = _with_repeats(data, data.draw(st.lists(
-        st.sampled_from(sorted(QUERY_TABLE.table)), min_size=1, max_size=5)))
+        st.sampled_from(sorted(QUERY_TABLE.index)), min_size=1, max_size=5)))
     k = data.draw(st.integers(1, len(set(index.concept_ids)) + 1))
     with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
         got = as_lines(search_concept(index, texts, k, QUERY_TABLE))
