@@ -260,10 +260,8 @@ def _cmd_query(args) -> int:
 def _cmd_match(args) -> int:
     bundle = store.load_bundle(args.index)
     source = load_ontology(args.source_concepts, args.source_labels, None)
-    for cid in source.sorted_ids():
-        hits = store.match_hits(
-            bundle, list(source.concepts[cid].labels), args.k, args.ranker
-        )
+    for cid, concept in source.concepts.items():
+        hits = store.match_hits(bundle, list(concept.labels), args.k, args.ranker)
         print(f'{{"source_id":{json.dumps(cid, ensure_ascii=False)},'
               f'"hits":{hits_json_array(hits)}}}')
     return 0

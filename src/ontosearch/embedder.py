@@ -230,10 +230,13 @@ def _read_vectors(path: Path, rows: Iterable[tuple[int, str, list[str]]]
     """``({key: vector}, dim)`` from ``(lineno, key, fields)`` rows, each
     format's line syntax already applied.  Components must be finite
     numbers, every row as wide as the first, and a repeated key keeps its
-    last vector, with a logged warning."""
+    last vector, with a logged warning.  A key may not end in NUL: the
+    encoder file's string array drops trailing NULs."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, key, fields in rows:
+        if key.endswith("\0"):
+            raise MalformedLine(f"{path}:{lineno}: key ends in NUL")
         try:
             vec = np.asarray([float(x) for x in fields], dtype=np.float64)
         except ValueError:
@@ -330,7 +333,8 @@ _KEYED = {cls.kind: cls for cls in (StaticWordVectors, PrecomputedEncoder)}
 
 
 def load_encoder(path: str | Path) -> Encoder:
-    with decoding(path, "encoder file"), np.load(path, allow_pickle=False) as data:
+    with decoding(path, "encoder file"), open(path, "rb") as fh, \
+            np.load(fh, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _CONTAINER_VERSION:
             raise MalformedLine(f"unsupported container version {version}")
@@ -352,4 +356,11 @@ def load_encoder(path: str | Path) -> Encoder:
             raise MalformedLine(f"{keys.shape} keys for a matrix of shape {matrix.shape}")
         if not all_finite(matrix):
             raise MalformedLine("matrix holds NaN or infinite values")
-        return cls(dict(zip(keys.astype(str).tolist(), matrix)), matrix.shape[1])
+        # the loaded matrix itself becomes the table, copied only when it is
+        # not C-ordered, so the rows are held once
+        encoder = cls({}, matrix.shape[1])
+        encoder.index = {key: row for row, key in enumerate(keys.astype(str).tolist())}
+        if len(encoder.index) != len(keys):
+            raise MalformedLine(f"{cls.keys_name} repeat a key")
+        encoder.table = np.ascontiguousarray(matrix)
+        return encoder

@@ -95,7 +95,8 @@ class Concept:
 
 
 class OntologyGraph:
-    """Validated concept DAG with a derived parent->children map."""
+    """Validated concept DAG with a derived parent->children map; ``concepts``
+    and each ``children`` list run in ascending id order, which all output follows."""
 
     def __init__(self, concepts: Iterable[Concept]):
         self.concepts: dict[str, Concept] = {}
@@ -103,14 +104,15 @@ class OntologyGraph:
             if concept.id in self.concepts:
                 raise DuplicateConceptId(f"duplicate concept id {concept.id!r}")
             self.concepts[concept.id] = concept
-        self.children: dict[str, set[str]] = {cid: set() for cid in self.concepts}
+        self.concepts = dict(sorted(self.concepts.items()))
+        self.children: dict[str, list[str]] = {cid: [] for cid in self.concepts}
         for concept in self.concepts.values():
             for pid in concept.parent_ids:
                 if pid not in self.concepts:
                     raise UnknownParentId(
                         f"concept {concept.id!r} names unknown parent {pid!r}"
                     )
-                self.children[pid].add(concept.id)
+                self.children[pid].append(concept.id)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -153,9 +155,6 @@ class OntologyGraph:
 
     def parents_of(self, concept_id: str) -> frozenset[str]:
         return self.get(concept_id).parent_ids
-
-    def sorted_ids(self) -> list[str]:
-        return sorted(self.concepts)
 
 
 def get_siblings(graph: OntologyGraph, concept_id: str) -> set[str]:
@@ -269,16 +268,16 @@ def save_ontology(
     labels_path: str | Path,
     relations_path: str | Path,
 ) -> None:
-    """Write the three-file TSV form; rows sorted so output is canonical."""
-    ids = graph.sorted_ids()
+    """Write the three-file TSV form in the graph's concept order, so
+    output is canonical."""
     with writing(concepts_path) as fh:
-        for cid in ids:
-            fh.write(f"{cid}\t{graph.concepts[cid].preferred_label}\n")
+        for cid, concept in graph.concepts.items():
+            fh.write(f"{cid}\t{concept.preferred_label}\n")
     with writing(labels_path) as fh:
-        for cid in ids:
-            for label in graph.concepts[cid].labels[1:]:
+        for cid, concept in graph.concepts.items():
+            for label in concept.labels[1:]:
                 fh.write(f"{cid}\t{label}\n")
     with writing(relations_path) as fh:
-        for cid in ids:
-            for pid in sorted(graph.concepts[cid].parent_ids):
+        for cid, concept in graph.concepts.items():
+            for pid in sorted(concept.parent_ids):
                 fh.write(f"{cid}\t{pid}\n")

@@ -126,7 +126,7 @@ def _fold_rows(score, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best scores, descending; ties keep position order,
-    which is ascending concept id in both indexes."""
+    which is the graph's ascending concept id order in both indexes."""
     candidates = np.arange(len(scores))
     if k < len(scores):
         cut = np.partition(scores, len(scores) - k)[len(scores) - k]
@@ -139,7 +139,7 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 class VectorIndex:
     """Exact cosine index: one unit-normalised row per label of ``graph``,
-    concepts by ascending id, then each one's labels in order."""
+    concepts in the graph's ascending id order, then each one's labels in order."""
 
     def __init__(self, graph: OntologyGraph, rows: np.ndarray, encoder_fingerprint: str = ""):
         self.concept_ids, self.labels, counts = _label_rows(graph)
@@ -202,16 +202,15 @@ class VectorIndex:
 
 def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str], list[int]]:
     """The vector index's row layout: one (concept id, label) row per
-    label, in sorted-concept, label-sequence order, and each concept's
-    label count."""
+    label, in the graph's concept order, then label order, and each
+    concept's label count."""
     concept_ids: list[str] = []
     labels: list[str] = []
     counts: list[int] = []
-    for cid in graph.sorted_ids():
-        concept_labels = graph.concepts[cid].labels
-        concept_ids += [cid] * len(concept_labels)
-        labels += concept_labels
-        counts.append(len(concept_labels))
+    for cid, concept in graph.concepts.items():
+        concept_ids += [cid] * len(concept.labels)
+        labels += concept.labels
+        counts.append(len(concept.labels))
     return concept_ids, labels, counts
 
 
@@ -294,8 +293,8 @@ def check_bm25_params(k1: float, b: float) -> None:
 
 
 class Bm25Index:
-    """Okapi BM25 over one document per concept of ``graph``, in ascending
-    id order (the order score ties are broken in); ``term_freqs`` holds
+    """Okapi BM25 over one document per concept of ``graph``, in the graph's
+    ascending id order (the order score ties are broken in); ``term_freqs`` holds
     each document's token counts.
 
     IDF(t) = ln(1 + (N - df + 0.5) / (df + 0.5)); a term's contribution is
@@ -314,7 +313,7 @@ class Bm25Index:
         if len(term_freqs) != len(graph):
             raise MalformedLine(f"{len(term_freqs)} documents, but the ontology has "
                                 f"{len(graph)} concepts")
-        self.concept_ids = graph.sorted_ids()
+        self.concept_ids = list(graph.concepts)
         self.term_freqs = term_freqs
         # one row per concept, labelled with its preferred label
         self.labels = [graph.concepts[cid].preferred_label for cid in self.concept_ids]
@@ -398,9 +397,9 @@ def build_bm25_index(
     if not isinstance(stopwords, frozenset):
         stopwords = load_stopwords(stopwords)
     term_freqs = [
-        dict(Counter(t for label in graph.concepts[cid].labels for t in tokenize(label)
+        dict(Counter(t for label in concept.labels for t in tokenize(label)
                      if t not in stopwords))
-        for cid in graph.sorted_ids()
+        for concept in graph.concepts.values()
     ]
     return Bm25Index(graph, term_freqs, stopwords, k1=k1, b=b)
 
@@ -468,7 +467,8 @@ def save_vector_index(index: VectorIndex, path: str | Path) -> None:
 
 
 def load_vector_index(path: str | Path, graph: OntologyGraph) -> VectorIndex:
-    with decoding(path, "bundle file"), np.load(path, allow_pickle=False) as data:
+    with decoding(path, "bundle file"), open(path, "rb") as fh, \
+            np.load(fh, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _VECTOR_VERSION:
             raise MalformedLine(f"unsupported vector index version {version}")

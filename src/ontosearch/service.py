@@ -62,7 +62,7 @@ class SearchService:
             "concept_id": concept.id,
             "labels": list(concept.labels),
             "parent_ids": sorted(concept.parent_ids),
-            "child_ids": sorted(self.bundle.graph.children[concept_id]),
+            "child_ids": list(self.bundle.graph.children[concept_id]),
         }
 
     def health(self) -> dict:

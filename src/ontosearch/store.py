@@ -12,10 +12,10 @@ A directory written by ``save_bundle`` holds:
     bm25.json        per-concept term frequencies, k1/b, stop-words and the
                      df/avgdl corruption check; when a BM25 ranker was built
 
-The ontology TSVs alone record which index rows exist and in what order:
-both index files hold rows only and are read against the loaded graph,
-and array shapes alone record widths.  ``load_bundle`` checks the rows'
-width and fingerprint against ``encoder.npz``.  A file that cannot be
+The ontology TSVs alone record which index rows exist, in the graph's
+order: both index files hold rows only and are read against the loaded
+graph, and array shapes alone record widths.  ``load_bundle`` checks the
+rows' width and fingerprint against ``encoder.npz``.  A file that cannot be
 decoded, or rows that disagree with the encoder, is reported as
 ``io.MalformedLine`` naming it.
 

@@ -10,9 +10,9 @@ sibling-or-uncle label o are drawn for the pair, then
     (anchor=l1, positive=p,  negative=o)
 
 An entry whose required pool is empty is skipped individually.  Concepts are
-visited in ascending id order and label pairs in label-sequence order, and
-a pool draw consumes generator output only when that pool is non-empty, so
-the whole dataset is a pure function of (graph, seed).
+visited in the graph's ascending id order and label pairs in label-sequence
+order, and a pool draw consumes generator output only when that pool is
+non-empty, so the whole dataset is a pure function of (graph, seed).
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ def generate_triplets(
     concept_labels: list[int] = []
     pools: list[int] = []
     plan: list[tuple[int, int, int, int, int, int]] = []
-    for cid in graph.sorted_ids():
-        concept = graph.concepts[cid]
+    for cid, concept in graph.concepts.items():
         n = len(concept.labels)
         if n == 1 and not single_label_fallback:
             continue  # no pair, so no draw: its pools are not needed

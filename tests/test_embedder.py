@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -352,6 +353,55 @@ def test_container_without_columns_is_refused(tmp_path, kind, keys):
                 **{keys: np.array(["Asthenia", "Fatigue"])})
     with pytest.raises(MalformedLine, match="dim must be >= 1"):
         load_encoder(path)
+
+
+@pytest.mark.parametrize("kind, keys", [("wordvec", "tokens"), ("precomputed", "texts")])
+def test_keyed_container_holds_its_matrix_once(tmp_path, kind, keys):
+    """The loaded matrix becomes the table: the load peaks under 1.5x its bytes."""
+    matrix = np.random.default_rng(0).normal(size=(20_000, 64))
+    path = tmp_path / "enc.npz"
+    save_arrays(path, version=1, kind=kind, matrix=matrix,
+                **{keys: np.array([f"k{i}" for i in range(len(matrix))])})
+    tracemalloc.start()
+    try:
+        enc = load_encoder(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix.nbytes, peak / matrix.nbytes
+    np.testing.assert_array_equal(enc.table, matrix)
+    assert enc.index["k19999"] == 19_999
+
+
+def test_fortran_order_container_loads_c_ordered(tmp_path):
+    enc = PrecomputedEncoder({"a": np.array([1.0, 2.0]), "b": np.array([3.0, -0.0])}, dim=2)
+    path = tmp_path / "enc.npz"
+    save_arrays(path, version=1, kind="precomputed", texts=np.array(["a", "b"]),
+                matrix=np.asfortranarray(enc.table))
+    back = load_encoder(path)
+    assert back.table.flags.c_contiguous
+    assert back.fingerprint() == enc.fingerprint()
+
+
+@pytest.mark.parametrize("kind, keys", [("wordvec", "tokens"), ("precomputed", "texts")])
+def test_container_with_a_repeated_key_is_refused(tmp_path, kind, keys):
+    path = tmp_path / "enc.npz"
+    save_arrays(path, version=1, kind=kind, matrix=np.eye(3),
+                **{keys: np.array(["Asthenia", "Fatigue", "Asthenia"])})
+    with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}: {keys} repeat a key$"):
+        load_encoder(path)
+
+
+@pytest.mark.parametrize("load, content", [
+    (load_word_vectors, "fatigue 1 0\nfatigue\0 0 1\n"),
+    (load_precomputed, "Lassitude\t1 0\nLassitude\0\t0 1\n"),
+], ids=["wordvec", "precomputed"])
+def test_key_ending_in_nul_is_refused(tmp_path, load, content):
+    """The encoder file's string array would drop the NUL."""
+    path = tmp_path / "vectors.txt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}:2: key ends in NUL$"):
+        load(path)
 
 
 @pytest.mark.parametrize("make", [StaticWordVectors, PrecomputedEncoder])

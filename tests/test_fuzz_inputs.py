@@ -1,13 +1,14 @@
-"""Fuzz gate for the encoder inputs of ``index``: word-vector files,
-precomputed-embedding TSVs and encoder ``.npz`` containers.
+"""Fuzz gate for the file inputs of the CLI: the encoder inputs of
+``index`` (word-vector files, precomputed-embedding TSVs and encoder
+``.npz`` containers) and the three ontology TSVs.
 
-Each example mutates one valid input (lines dropped, duplicated or emptied
-of their vector; NUL, BOM or CR bytes put in; bytes flipped or cut off) and
-runs ``index`` on the asthenia fixture with it.  Every run must end in
-exit 0, or in exit 1 or 2 with stderr ending in exactly one JSON
-``{error, message}`` line, and numpy must warn of nothing.  An index that
-is built must hold vectors of at least one component and answer a query
-the same way.
+Each example mutates valid inputs (lines dropped, duplicated or emptied of
+their vector; NUL, BOM, CR, U+0085, tab, ``#`` or a 5,000-character token
+put in; bytes flipped or cut off) and runs the commands that read them.
+Every run must end in exit 0, or in exit 1 or 2 with stderr ending in
+exactly one JSON ``{error, message}`` line, and numpy must warn of
+nothing.  An index that is built must hold vectors of at least one
+component and answer a query the same way.
 """
 
 import contextlib
@@ -53,6 +54,9 @@ PRECOMPUTED = (
 TEXT_KINDS = {"wordvec-text": ("--word-vectors", b" "),
               "precomputed-text": ("--precomputed", b"\t")}
 MODEL_KINDS = ("wordvec-npz", "precomputed-npz", "subword-npz")
+# text mutation -> the bytes it puts in at one position
+INSERTS = {"nul": b"\0", "cr": b"\r", "nel": "\u0085".encode(), "tab": b"\t", "hash": b"#",
+           "long": b"x" * 5000}
 
 
 def _container(kind: str, work: Path) -> bytes:
@@ -81,9 +85,9 @@ def mutate_text(data: bytes, sep: bytes, ops) -> bytes:
         elif name == "crlf":
             lines = [line + b"\r" for line in lines[:-1]] + lines[-1:]
         data = b"\n".join(lines)
-        if name in ("nul", "cr"):
+        if name in INSERTS:
             at = pos % (len(data) + 1)
-            data = data[:at] + (b"\0" if name == "nul" else b"\r") + data[at:]
+            data = data[:at] + INSERTS[name] + data[at:]
         elif name == "bom":
             data = b"\xef\xbb\xbf" + data
         elif name == "flip" and data:
@@ -113,7 +117,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 def _error_lines(err: str) -> list[dict]:
     lines = []
-    for line in err.splitlines():
+    for line in err.split("\n"):
         try:
             value = json.loads(line)
         except ValueError:
@@ -132,7 +136,7 @@ def check_answer(code: int, out: str, err: str) -> None:
     assert code in (1, 2), (code, err)
     assert out == ""
     assert err.endswith("\n") and len(_error_lines(err)) == 1, err
-    assert _error_lines(err.splitlines()[-1]) != [], err
+    assert _error_lines(err[:-1].rpartition("\n")[2]) != [], err
     assert (code == 2) == (_error_lines(err)[0]["error"] == "app.UsageError"), err
 
 
@@ -149,6 +153,8 @@ BINARY_OP = st.tuples(st.sampled_from(["flip", "flip", "flip", "truncate"]),
 ))
 @example(case=("precomputed-text", [("empty", line, 1) for line in range(7)]))
 @example(case=("wordvec-text", [("empty", line, 1) for line in range(1, 5)]))
+@example(case=("wordvec-text", [("nul", 6347, 1)]))  # "fatigue\0 0.2 -0.0 -0.6"
+@example(case=("precomputed-text", [("dup", 5, 1), ("nul", 150, 1)]))  # "Lassitude\0<TAB>.."
 def test_index_answers_every_mutated_encoder_input(case):
     kind, ops = case
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
@@ -169,5 +175,49 @@ def test_index_answers_every_mutated_encoder_input(case):
         if code == 0:
             assert store.load_bundle(index).encoder.dim >= 1
             check_answer(*_run(["query", "--index", str(index), "--q", "Fatigue"]))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+            [str(w.message) for w in caught]
+
+
+ONTOLOGY_FILES = ("concepts.tsv", "labels.tsv", "relations.tsv")
+ONTOLOGY_OP = st.tuples(
+    st.sampled_from(ONTOLOGY_FILES),
+    st.tuples(st.sampled_from(["drop", "dup", "bom", *INSERTS]),
+              st.integers(0, 1 << 16), st.integers(1, 255)))
+
+
+def _strict_json(line: str) -> None:
+    def refuse(name):
+        raise AssertionError(f"{name} in {line!r}")
+    json.loads(line, parse_constant=refuse)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(ONTOLOGY_OP, min_size=1, max_size=3))
+def test_every_command_answers_mutated_ontology_files(ops):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        work = Path(tmp)
+        for name in ONTOLOGY_FILES:
+            data = mutate_text((FIG / name).read_bytes(), b"\t",
+                               [op for file, op in ops if file == name])
+            (work / name).write_bytes(data)
+        ontology = ["--concepts", str(work / "concepts.tsv"), "--labels",
+                    str(work / "labels.tsv"), "--relations", str(work / "relations.tsv")]
+        index = str(work / "index")
+        runs = [_run(["ingest", *ontology]),
+                _run(["triplets", *ontology, "--out", str(work / "triplets")]),
+                _run(["index", *ontology, "--bm25", "--out", index])]
+        if runs[-1][0] == 0:
+            runs.append(_run(["query", "--index", index, "--q", "Fatigue", "--ranker", "bm25"]))
+        else:  # match the mutated source against the fixture's index
+            assert _run(["index", *ONTOLOGY, "--bm25", "--out", index])[0] == 0
+        runs.append(_run(["match", "--index", index, "--source-concepts",
+                          str(work / "concepts.tsv"), "--source-labels",
+                          str(work / "labels.tsv"), "--ranker", "bm25"]))
+        for code, out, err in runs:
+            check_answer(code, out, err)
+            for line in filter(None, out.split("\n")):
+                _strict_json(line)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
             [str(w.message) for w in caught]

@@ -86,6 +86,10 @@ class TestLoading:
         with pytest.raises(UnknownParentId):
             load_ontology(tmp_path / "c.tsv", tmp_path / "l.tsv", tmp_path / "r.tsv")
 
+    def test_graph_names_the_least_id_with_an_unknown_parent(self):
+        with pytest.raises(UnknownParentId, match="concept 'A' names unknown parent 'Y'"):
+            graph_of(("B", ["b"], ["X"]), ("A", ["a"], ["Y"]))
+
     def test_duplicate_concept_id(self, tmp_path):
         write_tsv(tmp_path / "c.tsv", [("A", "a"), ("A", "a2")])
         (tmp_path / "l.tsv").write_text("", encoding="utf-8")

@@ -302,7 +302,7 @@ def _reference_pool(graph, concept_ids):
 def reference_triplets(graph, seed, single_label_fallback=False, dedup=False):
     rng = SplitMix64(seed)
     entries = []
-    for cid in graph.sorted_ids():
+    for cid in sorted(graph.concepts):
         concept = graph.concepts[cid]
         parent_pool = _reference_pool(graph, sorted(concept.parent_ids))
         others = get_siblings(graph, cid) | get_uncles(graph, cid)
