@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, store
 from .config import PipelineConfig
 from .embedder import (
@@ -153,16 +155,12 @@ def _extract_config(argv: list[str]) -> PipelineConfig | None:
 
 def _cmd_ingest(args) -> int:
     graph = load_ontology(args.concepts, args.labels, args.relations)
-    n_labels = sum(len(c.labels) for c in graph.concepts.values())
-    n_edges = sum(len(c.parent_ids) for c in graph.concepts.values())
-    roots = sum(1 for c in graph.concepts.values() if not c.parent_ids)
-    leaves = sum(1 for cid in graph.concepts if not graph.children[cid])
     print(json.dumps({
         "concepts": len(graph),
-        "labels": n_labels,
-        "relations": n_edges,
-        "roots": roots,
-        "leaves": leaves,
+        "labels": len(graph.labels),
+        "relations": len(graph.parent_idx),
+        "roots": int(np.count_nonzero(np.diff(graph.parent_ptr) == 0)),
+        "leaves": int(np.count_nonzero(np.diff(graph.child_ptr) == 0)),
     }))
     return 0
 
@@ -260,8 +258,8 @@ def _cmd_query(args) -> int:
 def _cmd_match(args) -> int:
     bundle = store.load_bundle(args.index)
     source = load_ontology(args.source_concepts, args.source_labels, None)
-    for cid, concept in source.concepts.items():
-        hits = store.match_hits(bundle, list(concept.labels), args.k, args.ranker)
+    for i, cid in enumerate(source.ids):
+        hits = store.match_hits(bundle, source.labels_at(i), args.k, args.ranker)
         print(f'{{"source_id":{json.dumps(cid, ensure_ascii=False)},'
               f'"hits":{hits_json_array(hits)}}}')
     return 0

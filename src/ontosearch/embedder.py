@@ -174,12 +174,16 @@ class SubwordEmbedder:
 
 class _KeyedEncoder:
     """One vector per key: ``index`` maps a key to its row of ``table``.  A
-    subclass names its ``kind`` and ``keys_name``, its keys' container array."""
+    subclass names its ``kind`` and ``keys_name``, its keys' container array.
+    A key may not end in NUL, which ``save_encoder`` could not store."""
 
     def __init__(self, vectors: dict[str, np.ndarray], dim: int):
         if dim < 1:
             raise UsageError("dim must be >= 1")
         self.dim = dim
+        nul = next((key for key in vectors if key.endswith("\0")), None)
+        if nul is not None:  # the encoder file's string array would drop it
+            raise UsageError(f"key {nul!r} ends in NUL")
         self.index = {key: row for row, key in enumerate(vectors)}
         self.table = np.array(list(vectors.values())) if vectors else np.zeros((0, dim))
         if self.table.shape[1:] != (dim,):

@@ -25,7 +25,7 @@ from .errors import (
     UnknownConceptId,
     UsageError,
 )
-from .npzio import read_rows
+from .npzio import read_table
 from .ontology import Concept, OntologyGraph, gain_of_relation, relation_between
 from .ranker import DEFAULT_STOPWORDS, RankedHit
 
@@ -432,7 +432,8 @@ def read_queries(path: str | Path, mode: str = "text") -> list[EvalQuery]:
     path = Path(path)
     queries: list[EvalQuery] = []
     first_line: dict[str, int] = {}
-    for lineno, (qid, body, relevant) in read_rows(path, 3):
+    (qids, bodies, relevants), lines, fault = read_table(path, 3)
+    for lineno, qid, body, relevant in zip(lines, qids, bodies, relevants):
         if qid in first_line:
             raise MalformedLine(
                 f"{path}:{lineno}: query id {qid!r} repeats line {first_line[qid]}")
@@ -447,4 +448,6 @@ def read_queries(path: str | Path, mode: str = "text") -> list[EvalQuery]:
             if not labels:
                 raise MalformedLine(f"{path}:{lineno}: no query label")
             queries.append(EvalQuery(qid, relevant_ids, query_labels=labels))
+    if fault is not None:
+        raise fault
     return queries

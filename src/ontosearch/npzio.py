@@ -1,7 +1,7 @@
 """File access shared by every loader and saver.
 
-Text inputs are read only through ``read_lines`` (commented TSV tables
-through ``read_rows`` on top of it), and the artifact
+Text inputs are read only through ``read_lines`` and, for commented TSV
+tables, ``read_table``, which reads the whole file, and the artifact
 loaders decode inside ``decoding``, so a file that cannot be decoded is
 reported the same way wherever it is read: one ``io.MalformedLine``
 naming it.
@@ -20,8 +20,9 @@ from __future__ import annotations
 import io
 import os
 import zipfile
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -79,19 +80,43 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_rows(path: str | Path, columns: int) -> Iterator[tuple[int, list[str]]]:
-    """``(lineno, fields)`` for each row of a TSV file of ``columns``
-    tab-separated fields; empty lines and lines starting with ``#`` are
-    skipped."""
+def read_table(path: str | Path, columns: int
+               ) -> tuple[list[list[str]], Sequence[int], MalformedLine | None]:
+    """The rows of a TSV file of ``columns`` (two or more) tab-separated
+    fields, as ``columns`` lists of fields, the line number of each row, and
+    the fault of the first line with another field count, which ends the
+    rows; empty lines and lines starting with ``#`` are skipped.
+
+    The file is read whole in text mode, so it is refused before any row
+    is read if it is not UTF-8, and split on ``"\n"`` alone: the other
+    line breaks of ``str.splitlines`` stay inside fields.  When every line
+    is a row, the whole text is split at once."""
     path = Path(path)
-    for lineno, line in read_lines(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = text.split("\n")
+    if lines[-1] == "":  # the end of the last line, or an empty file
+        lines.pop()
+    if (not text.startswith("#") and "\n#" not in text
+            and set(map(str.count, lines, repeat("\t"))) <= {columns - 1}):
+        cells = "\t".join(lines).split("\t") if lines else []
+        return [cells[k::columns] for k in range(columns)], range(1, len(lines) + 1), None
+    table: list[list[str]] = [[] for _ in range(columns)]
+    linenos: list[int] = []
+    for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != columns:
-            raise MalformedLine(f"{path}:{lineno}: expected {columns} tab-separated fields, "
-                                f"got {len(fields)}")
-        yield lineno, fields
+            return table, linenos, MalformedLine(
+                f"{path}:{lineno}: expected {columns} tab-separated fields, got {len(fields)}")
+        for column, field in zip(table, fields):
+            column.append(field)
+        linenos.append(lineno)
+    return table, linenos, None
 
 
 @contextmanager

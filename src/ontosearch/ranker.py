@@ -153,8 +153,8 @@ class VectorIndex:
         self.rows = rows
         self.encoder_fingerprint = encoder_fingerprint
         # concept c owns rows _bounds[c]:_bounds[c + 1]
-        self._bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        self._concept_of_row = np.repeat(np.arange(len(counts)), counts)
+        self._bounds = graph.label_ptr
+        self._concept_of_row = np.repeat(np.arange(len(graph)), counts)
 
     def __len__(self) -> int:
         return len(self.concept_ids)
@@ -200,18 +200,12 @@ class VectorIndex:
         return np.minimum.reduceat(np.where(reached, rows, _NONE), starts)
 
 
-def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str], list[int]]:
+def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str], np.ndarray]:
     """The vector index's row layout: one (concept id, label) row per
     label, in the graph's concept order, then label order, and each
     concept's label count."""
-    concept_ids: list[str] = []
-    labels: list[str] = []
-    counts: list[int] = []
-    for cid, concept in graph.concepts.items():
-        concept_ids += [cid] * len(concept.labels)
-        labels += concept.labels
-        counts.append(len(concept.labels))
-    return concept_ids, labels, counts
+    counts = np.diff(graph.label_ptr)
+    return np.array(graph.ids, dtype=object).repeat(counts).tolist(), graph.labels, counts
 
 
 def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
@@ -221,7 +215,7 @@ def build_vector_index(graph: OntologyGraph, encoder: Encoder) -> VectorIndex:
     zero row (it cosine-scores 0 against everything).  An embedding, or a
     norm, that overflows raises ``io.MalformedLine`` naming the label.
     """
-    _, labels, _ = _label_rows(graph)
+    labels = graph.labels
     rows = np.zeros((len(labels), encoder.dim), dtype=np.float64)
     with np.errstate(over="raise", invalid="raise"):
         for row, label in zip(rows, labels):
@@ -313,10 +307,10 @@ class Bm25Index:
         if len(term_freqs) != len(graph):
             raise MalformedLine(f"{len(term_freqs)} documents, but the ontology has "
                                 f"{len(graph)} concepts")
-        self.concept_ids = list(graph.concepts)
+        self.concept_ids = graph.ids
         self.term_freqs = term_freqs
         # one row per concept, labelled with its preferred label
-        self.labels = [graph.concepts[cid].preferred_label for cid in self.concept_ids]
+        self.labels = list(map(graph.labels.__getitem__, graph.label_ptr[:-1].tolist()))
         self.stopwords = stopwords
         self.k1 = k1
         self.b = b
@@ -338,7 +332,7 @@ class Bm25Index:
         self._tf = np.fromiter(chain.from_iterable(map(dict.values, term_freqs)), np.int64)[order]
         lens = np.asarray(self.doc_lens, dtype=np.float64)
         self._norm = k1 * (1.0 - b + b * lens / self.avgdl) if self.avgdl else np.zeros(self.n_docs)
-        self._pos = {cid: i for i, cid in enumerate(self.concept_ids)}
+        self._pos = graph.position
         self._fingerprint: str | None = None
 
     def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
@@ -396,10 +390,11 @@ def build_bm25_index(
     ``load_stopwords`` reads."""
     if not isinstance(stopwords, frozenset):
         stopwords = load_stopwords(stopwords)
+    labels, ptr = graph.labels, graph.label_ptr.tolist()
     term_freqs = [
-        dict(Counter(t for label in concept.labels for t in tokenize(label)
+        dict(Counter(t for label in labels[lo:hi] for t in tokenize(label)
                      if t not in stopwords))
-        for concept in graph.concepts.values()
+        for lo, hi in zip(ptr, ptr[1:])
     ]
     return Bm25Index(graph, term_freqs, stopwords, k1=k1, b=b)
 

@@ -32,8 +32,9 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# Bounds per block of ``randrange_array``: its temporaries, a few arrays of
-# this length, stay small however many values are drawn.
+# Draws per block of ``randrange_array`` and ``uniform_array``: their
+# temporaries, a few arrays of this length, stay small (and in cache)
+# however many values are drawn.
 _DRAW_BLOCK = 4096
 
 
@@ -122,26 +123,47 @@ def _stream(state: int, count: int) -> np.ndarray:
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(state)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
+    return _mix(z, z, np.empty_like(z))
+
+
+def _mix(states: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's output of each of ``states`` into ``out`` (which may be
+    ``states``), with ``scratch`` as long as both."""
+    np.right_shift(states, np.uint64(30), out=scratch)
+    np.bitwise_xor(states, scratch, out=out)
+    out *= np.uint64(_MIX1)
+    np.right_shift(out, np.uint64(27), out=scratch)
+    out ^= scratch
+    out *= np.uint64(_MIX2)
+    np.right_shift(out, np.uint64(31), out=scratch)
+    out ^= scratch
+    return out
 
 
 def uniform_array(seed: int, count: int, lo: float, hi: float) -> np.ndarray:
     """The first ``count`` draws of ``SplitMix64(seed).uniform(lo, hi)``.
 
     The float operations are those of ``uniform``, in the same order, so
-    every element equals its scalar draw bit for bit.
+    every element equals its scalar draw bit for bit.  The draws are made
+    ``_DRAW_BLOCK`` at a time in the same few scratch arrays, which stay in
+    cache, and written once into the result.
     """
-    z = _stream(seed & _MASK64, count)
-    z >>= np.uint64(11)
-    out = z.astype(np.float64)
-    out *= 2.0 ** -53
-    out *= hi - lo
-    out += lo
+    out = np.empty(count, dtype=np.float64)
+    block = min(count, _DRAW_BLOCK)
+    states = np.arange(1, block + 1, dtype=np.uint64)  # the states of the first block
+    states *= np.uint64(_GAMMA)
+    states += np.uint64(seed & _MASK64)
+    z, scratch = np.empty_like(states), np.empty_like(states)
+    step = np.uint64(block * _GAMMA & _MASK64)  # from each block's states to the next's
+    for start in range(0, count, _DRAW_BLOCK):
+        n = min(block, count - start)
+        u = _mix(states[:n], z[:n], scratch[:n])
+        u >>= np.uint64(11)
+        draws = out[start:start + n]
+        np.multiply(u, 2.0 ** -53, out=draws)
+        draws *= hi - lo
+        draws += lo
+        states += step
     return out
 
 

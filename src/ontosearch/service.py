@@ -55,14 +55,15 @@ class SearchService:
         return hits_json_array(store.match_hits(self.bundle, labels, k, ranker))
 
     def concept_record(self, concept_id: str) -> dict | None:
-        if concept_id not in self.bundle.graph:
+        graph = self.bundle.graph
+        i = graph.position.get(concept_id)
+        if i is None:
             return None
-        concept = self.bundle.graph.concepts[concept_id]
         return {
-            "concept_id": concept.id,
-            "labels": list(concept.labels),
-            "parent_ids": sorted(concept.parent_ids),
-            "child_ids": list(self.bundle.graph.children[concept_id]),
+            "concept_id": concept_id,
+            "labels": graph.labels_at(i),
+            "parent_ids": [graph.ids[p] for p in graph.parents_at(i)],
+            "child_ids": [graph.ids[c] for c in graph.children_at(i)],
         }
 
     def health(self) -> dict:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MalformedLine, UsageError
 from .npzio import read_lines, writing
-from .ontology import OntologyGraph, get_siblings, get_uncles
+from .ontology import OntologyGraph, gather, sorted_unique
 from .rng import SplitMix64
 
 
@@ -154,37 +154,48 @@ def generate_triplets(
     concepts, pairs and pool sizes fix every bound in advance, so all draws
     are made in one call and pass 2 fills the rows in numpy.
     """
-    labels = sorted({label for c in graph.concepts.values() for label in c.labels})
-    index = {label: i for i, label in enumerate(labels)}
-    label_ids = {cid: [index[label] for label in c.labels] for cid, c in graph.concepts.items()}
+    labels = sorted(set(graph.labels))
+    index = dict(zip(labels, range(len(labels))))
+    label_ids = np.fromiter(map(index.__getitem__, graph.labels), np.int64, len(graph.labels))
 
-    # pass 1, per concept: where its labels start in ``concept_labels``, its
-    # label and pair counts, where its pools start in ``pools`` and their sizes
-    concept_labels: list[int] = []
-    pools: list[int] = []
-    plan: list[tuple[int, int, int, int, int, int]] = []
-    for cid, concept in graph.concepts.items():
-        n = len(concept.labels)
-        if n == 1 and not single_label_fallback:
-            continue  # no pair, so no draw: its pools are not needed
-        parent_pool = sorted({i for pid in concept.parent_ids for i in label_ids[pid]})
-        others = get_siblings(graph, cid) | get_uncles(graph, cid)
-        other_pool = sorted({i for oid in others for i in label_ids[oid]})
-        if n > 1:
-            pairs = n * (n - 1) if parent_pool or other_pool else 0
-        else:
-            pairs = int(bool(parent_pool) and bool(other_pool))
-        if pairs:
-            plan.append((len(concept_labels), n, pairs,
-                         len(pools), len(parent_pool), len(other_pool)))
-            concept_labels += label_ids[cid]
-            pools += parent_pool + other_pool
-    pools.append(-1)  # an empty pool at the end still starts at a valid index
-    concept_labels = np.array(concept_labels, dtype=np.int32)
-    pools = np.array(pools, dtype=np.int32)
+    # pass 1, per concept: its parent pool and its other pool (the labels of
+    # its siblings and uncles), from gathers over the graph's lists
+    n_labels = np.diff(graph.label_ptr)
+    concepts = np.flatnonzero(n_labels > (0 if single_label_fallback else 1))
+    at, parent = gather(graph.parent_ptr, graph.parent_idx, concepts)
+    child = concepts[at]  # edge e runs from child[e] to parent[e]
+    sibling_edge, sibling = gather(graph.child_ptr, graph.child_idx, parent)
+    is_sibling = sibling != child[sibling_edge]  # no concept is its own sibling
+    via, grandparent = gather(graph.parent_ptr, graph.parent_idx, parent)
+    at, uncle = gather(graph.child_ptr, graph.child_idx, grandparent)
+    uncle_edge = via[at]
+    is_uncle = uncle != parent[uncle_edge]  # an uncle is a sibling of the parent
+    # concept c's parent pool is pool 2c, its other pool 2c + 1: one key per
+    # (pool, label id), each once, in pool order and ascending within a pool
+    pool = np.concatenate([2 * child, 2 * child[sibling_edge[is_sibling]] + 1,
+                           2 * child[uncle_edge[is_uncle]] + 1])
+    which, label = gather(graph.label_ptr, label_ids,
+                          np.concatenate([parent, sibling[is_sibling], uncle[is_uncle]]))
+    pool_of, pools = np.divmod(sorted_unique(pool[which] * len(labels) + label),
+                               max(len(labels), 1))
+    n_parent, n_other = np.bincount(pool_of, minlength=2 * len(graph)).reshape(-1, 2)[concepts].T
+
+    n = n_labels[concepts]
+    has_parent, has_other = n_parent > 0, n_other > 0
+    pairs = np.where(n > 1, n * (n - 1) * (has_parent | has_other), has_parent & has_other)
+    planned = pairs > 0
+    n, pairs, n_parent, n_other = n[planned], pairs[planned], n_parent[planned], n_other[planned]
+    # of each planned concept in order: its labels, and its two pools
+    concept_labels = gather(graph.label_ptr, label_ids, concepts[planned])[1].astype(np.int32)
+    is_planned = np.zeros(len(graph), dtype=bool)
+    is_planned[concepts[planned]] = True
+    # a -1 ends the pools, so an empty pool at the end still starts in range
+    pools = np.append(pools[is_planned[pool_of // 2]], -1).astype(np.int32)
+    size = n_parent + n_other
+    plan = np.stack([np.cumsum(n) - n, n, pairs, np.cumsum(size) - size, n_parent, n_other],
+                    axis=1)
 
     # pass 2, per label pair
-    plan = np.array(plan, dtype=np.int64).reshape(-1, 6)
     label_at, n, _, parent_at, n_parent, n_other = np.repeat(plan, plan[:, 2], axis=0).T
     # the k-th pair of an n-label concept is (i, j) with i = k // (n - 1) and
     # j the (k % (n - 1))-th index other than i; a one-label concept's is (0, 0)

@@ -405,6 +405,19 @@ def test_key_ending_in_nul_is_refused(tmp_path, load, content):
 
 
 @pytest.mark.parametrize("make", [StaticWordVectors, PrecomputedEncoder])
+def test_key_ending_in_nul_given_in_code_is_refused(make, tmp_path):
+    """``save_encoder`` would drop the NUL, and so change the fingerprint;
+    a NUL inside a key is kept."""
+    with pytest.raises(UsageError, match=r"^key 'fatigue\\x00' ends in NUL$"):
+        make({"fatigue": np.array([1.0, 2.0]), "fatigue\0": np.array([2.0, 1.0])}, 2)
+    encoder = make({"fa\0tigue": np.array([1.0, 2.0])}, 2)
+    save_encoder(encoder, tmp_path / "enc.npz")
+    loaded = load_encoder(tmp_path / "enc.npz")
+    assert list(loaded.index) == ["fa\0tigue"]
+    assert loaded.fingerprint() == encoder.fingerprint()
+
+
+@pytest.mark.parametrize("make", [StaticWordVectors, PrecomputedEncoder])
 @pytest.mark.parametrize("vectors, dim, message", [
     ({}, 0, "dim must be >= 1"),
     ({"a": np.ones(3)}, 2, r"vectors of shape \(3,\), expected \(2,\)"),

@@ -1,6 +1,7 @@
 """The generator and the feature hash are pinned algorithms; these values
 were frozen from an independent C implementation of the same definitions."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontosearch import rng as rng_module
+from ontosearch.embedder import SubwordEmbedder
 from ontosearch.rng import SplitMix64, fnv1a64, uniform_array
 
 # Reference outputs of splitmix64 for a handful of seeds.
@@ -122,6 +124,34 @@ def test_uniform_array_equals_scalar_draws(seed, count, lo, hi):
     got = uniform_array(seed, count, lo, hi)
     assert got.dtype == np.float64 and got.shape == (count,)
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count", [
+    rng_module._DRAW_BLOCK - 1, rng_module._DRAW_BLOCK, rng_module._DRAW_BLOCK + 1,
+    3 * rng_module._DRAW_BLOCK + 7,
+])
+@pytest.mark.parametrize("seed, lo, hi", [(-5, -0.25, 0.75), (2**64 - 1, 3.0, -1e6)])
+def test_uniform_array_across_block_edges_equals_scalar_draws(count, seed, lo, hi):
+    """The draws are made a block at a time: each block starts where the
+    last one stopped."""
+    rng = SplitMix64(seed)
+    expected = np.array([rng.uniform(lo, hi) for _ in range(count)], dtype=np.float64)
+    assert uniform_array(seed, count, lo, hi).tobytes() == expected.tobytes()
+
+
+# sha256 of the default 32,768 x 64 subword table's float64 bytes, frozen
+# from the unblocked implementation
+TABLE_DIGESTS = {
+    0: "2a12d4bfe1fe6ebafc61149c66f63728436a165f81ad5e0ecb5cbae0a29174fb",
+    1: "1f7c6c7062386dcaaf13dc0ae187dfd6387922ce874289f03df20f9ced1a5ab3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TABLE_DIGESTS))
+def test_default_table_is_pinned(seed):
+    table = SubwordEmbedder(seed=seed).table
+    assert table.shape == (32768, 64) and table.flags.c_contiguous
+    assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_DIGESTS[seed]
 
 
 def scalar_shuffle(rng, items):

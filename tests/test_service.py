@@ -203,6 +203,25 @@ class TestConcept:
         assert json.loads(body)["error"] == "ontology.UnknownConceptId"
 
 
+def test_parents_listed_out_of_order_come_back_ascending(tmp_path):
+    """The graph holds each concept's parents in ascending id order, so
+    ``/concept`` and the saved ``relations.tsv`` list them so, whatever
+    order (and repeats) the relation rows came in."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "c.tsv").write_text("q\tQueue\nz\tZed\nm\tEm\nb\tBee\n", encoding="utf-8")
+    (src / "l.tsv").write_text("", encoding="utf-8")
+    (src / "r.tsv").write_text("q\tz\nq\tb\nm\tz\nq\tm\nq\tb\n", encoding="utf-8")
+    ontology = ["--concepts", str(src / "c.tsv"), "--labels", str(src / "l.tsv"),
+                "--relations", str(src / "r.tsv")]
+    assert main(["index", *ontology, "--bm25", "--out", str(tmp_path / "index")]) == 0
+    assert (tmp_path / "index" / "relations.tsv").read_bytes() == b"m\tz\nq\tb\nq\tm\nq\tz\n"
+    service = SearchService(store.load_bundle(tmp_path / "index"))
+    assert service.concept_record("q") == {
+        "concept_id": "q", "labels": ["Queue"], "parent_ids": ["b", "m", "z"], "child_ids": []}
+    assert service.concept_record("z")["child_ids"] == ["m", "q"]
+
+
 class TestMatch:
     def test_parity_with_store(self, served):
         base, bundle = served
