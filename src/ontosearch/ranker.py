@@ -4,7 +4,10 @@ Two rankers answer the same question -- which concepts best match this
 text -- by different means:
 
 * ``VectorIndex``: one unit-normalised embedding row per (concept, label),
-  scored by cosine against the encoded query with an exact full scan;
+  scored by cosine against the encoded query.  A float32 copy of the rows
+  screens out, with an exact error bound, the concepts that cannot reach
+  the top k; only the rest are scored in float64, to the bits a full scan
+  gives them;
 * ``Bm25Index``: Okapi BM25 where each concept's document is the token bag
   of all its labels, stop-words removed at index and query time.
 
@@ -22,6 +25,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -40,6 +44,14 @@ from .ontology import OntologyGraph
 
 _NONE = np.intp(np.iinfo(np.intp).max)  # above every row and text position
 BM25_K1, BM25_B = 1.2, 0.75  # default BM25 term saturation and length normalisation
+
+# OpenBLAS's matrix-vector kernel scores rows 4 at a time, and the last
+# n % 4 rows of a call through a tail path that rounds otherwise; a call on
+# a multiple of 32 rows gives each of up to 8 threads whole 4-row blocks
+_KERNEL_ROWS = 4
+_BLOCK_ROWS = 8 * _KERNEL_ROWS
+# rescoring a row costs a gather and a list entry, about 16 rows of a full scan
+_SCREEN_SHARE = 16
 
 # Default English stop-word list (30 words), used when no file is supplied.
 DEFAULT_STOPWORDS = frozenset(
@@ -77,42 +89,47 @@ def hits_json_array(hits: Iterable[RankedHit]) -> str:
     return "[" + ",".join(map(hit_json_line, hits)) + "]"
 
 
-def _search(index, texts: list[str], k: int, score) -> list[RankedHit]:
+def _search(index, texts: list[str], k: int, query) -> list[RankedHit]:
     """The ranking path of every search entry point.
 
-    ``score(text)`` gives the score of each row of ``index`` (a fresh
-    array, which the fold overwrites).  The index's ``concept_max`` turns
-    the folded row scores into one score per concept, ``hits`` picks the
-    concepts that may be returned, and ``winners`` names the row, and so
-    the label, behind each returned concept's score.
+    ``query(text)`` gives what the index's ``row_scores`` takes for a text.
+    ``index.candidates`` narrows the index to a part holding every concept
+    that can be among the k best: the index itself, or a few of its
+    concepts with their rows.  The part's ``row_scores`` gives the score of
+    each of its rows (a fresh array, which the fold overwrites), its
+    ``concept_max`` turns the folded row scores into one score per concept,
+    ``hits`` picks the concepts that may be returned, and ``winners`` names
+    the row, and so the label, behind each returned concept's score.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
     if not texts:
         raise EmptyQueryConcept("query concept has no labels")
-    row_scores, first = _fold_rows(score, texts)
-    best = index.concept_max(row_scores)
-    hits = index.hits(best)
+    queries = list(map(query, texts))
+    part = index.candidates(queries, k)
+    row_scores, first = _fold_rows(part.row_scores, queries)
+    best = part.concept_max(row_scores)
+    hits = part.hits(best)
     top = hits[_top_k(best[hits], k)]
-    rows = index.winners(row_scores, first, best, top)
-    return [RankedHit(index.concept_ids[row], index.labels[row], value, rank)
+    rows = part.winners(row_scores, first, best, top)
+    return [RankedHit(part.concept_ids[row], part.labels[row], value, rank)
             for rank, (row, value) in enumerate(zip(rows.tolist(), row_scores[rows].tolist()), 1)]
 
 
-def _fold_rows(score, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's MAX score over ``texts`` and the position of the first
-    text reaching it.
+def _fold_rows(score, queries: list) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's MAX score over ``queries`` and the position of the first
+    query reaching it.
 
-    The MAX is strict, so a row keeps the bits of the earliest text
+    The MAX is strict, so a row keeps the bits of the earliest query
     reaching its score (of +0.0 and -0.0, whichever came first), and a
     NaN never replaces a score nor is replaced.  Memory is a few arrays
-    the size of the rows, however many texts there are.
+    the size of the rows, however many queries there are.
     """
-    best = score(texts[0])
-    first = np.zeros(len(best), dtype=np.min_scalar_type(len(texts) - 1))
+    best = score(queries[0])
+    first = np.zeros(len(best), dtype=np.min_scalar_type(len(queries) - 1))
     bits = best.view(np.int64)
-    for position, text in enumerate(texts[1:], 1):
-        scores = score(text)
+    for position, query in enumerate(queries[1:], 1):
+        scores = score(query)
         better = scores > best
         # a select on the bits: exact, where ``np.maximum`` lets a NaN in
         # and keeps either zero on a tie, and ``np.where`` costs 3x as much
@@ -137,38 +154,51 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 # --- vector index --------------------------------------------------------------
 
 
-class VectorIndex:
-    """Exact cosine index: one unit-normalised row per label of ``graph``,
-    concepts in the graph's ascending id order, then each one's labels in order."""
+def _unit(query_vec: np.ndarray) -> np.ndarray | None:
+    """The query scaled to unit length; None for a zero-norm query."""
+    q = np.asarray(query_vec, dtype=np.float64)
+    norm = float(np.linalg.norm(q))
+    return None if norm < _ZERO_NORM_EPS else q / norm
 
-    def __init__(self, graph: OntologyGraph, rows: np.ndarray, encoder_fingerprint: str = ""):
-        self.concept_ids, self.labels, counts = _label_rows(graph)
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or len(rows) != len(self.labels):
-            raise MalformedLine(f"rows of shape {rows.shape}, but the ontology has "
-                                f"{len(self.labels)} labels")
-        if not all_finite(rows):
-            raise MalformedLine("vector index rows hold NaN or infinite values")
-        self.dim = rows.shape[1]
-        self.rows = rows
-        self.encoder_fingerprint = encoder_fingerprint
-        # concept c owns rows _bounds[c]:_bounds[c + 1]
-        self._bounds = graph.label_ptr
-        self._concept_of_row = np.repeat(np.arange(len(graph)), counts)
+
+def _product(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``rows @ q``, each row to the bits of a one-thread product at any
+    thread count up to 8: whole blocks of ``_BLOCK_ROWS`` rows in one call,
+    and the rest as the end of a call that takes the last block too, never
+    alone (numpy hands a one-row product to ``ddot``, which rounds otherwise)."""
+    n = len(rows)
+    m = n - n % _BLOCK_ROWS
+    if m in (0, n):
+        return rows @ q
+    scores = np.empty(n)
+    np.matmul(rows[:m], q, out=scores[:m])
+    scores[m:] = (rows[m - _BLOCK_ROWS:] @ q)[_BLOCK_ROWS:]
+    return scores
+
+
+def _runs(bounds: np.ndarray, concepts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``concepts``, one run after another, as indexes into the
+    rows that ``bounds`` splits, with where each run starts among them and
+    its length."""
+    lo = bounds[concepts]
+    counts = bounds[concepts + 1] - lo
+    starts = np.cumsum(counts) - counts
+    return np.repeat(lo - starts, counts) + np.arange(counts.sum()), starts, counts
+
+
+class _ConceptRuns:
+    """Rows in one run per concept, the concepts in ascending id order:
+    concept c owns rows ``bounds[c]:bounds[c + 1]``, and row r is label
+    ``labels[r]`` of concept ``concept_ids[r]``."""
+
+    def __init__(self, concept_ids: list[str], labels: list[str], bounds: np.ndarray):
+        self.concept_ids = concept_ids
+        self.labels = labels
+        self._bounds = bounds
+        self._concept_of_row = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
     def __len__(self) -> int:
         return len(self.concept_ids)
-
-    def score(self, query_vec: np.ndarray) -> np.ndarray:
-        """Every row's cosine with the query: one matrix-vector product
-        over all rows, whose rounding the BLAS library decides; a
-        zero-norm query scores 0."""
-        q = np.asarray(query_vec, dtype=np.float64)
-        norm = float(np.linalg.norm(q))
-        if norm < _ZERO_NORM_EPS:
-            return np.zeros(len(self))
-        scores = self.rows @ (q / norm)
-        return np.clip(scores, -1.0, 1.0, out=scores)
 
     def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
         """Each concept's MAX over its rows (NaN if any is NaN)."""
@@ -189,15 +219,144 @@ class VectorIndex:
         ``concepts`` are read."""
         if not len(concepts):
             return concepts
-        lo = self._bounds[concepts]
-        counts = self._bounds[concepts + 1] - lo
-        starts = np.cumsum(counts) - counts  # of each run in the flat rows
-        rows = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+        rows, starts, counts = _runs(self._bounds, concepts)
         labels = first[rows]
         reached = ~(row_scores[rows] < np.repeat(best[concepts], counts))  # NaN-safe ">="
         earliest = np.minimum.reduceat(np.where(reached, labels, _NONE), starts)
         reached &= labels == np.repeat(earliest, counts)
         return np.minimum.reduceat(np.where(reached, rows, _NONE), starts)
+
+
+class VectorIndex(_ConceptRuns):
+    """Exact cosine index: one unit-normalised row per label of ``graph``,
+    concepts in the graph's ascending id order, then each one's labels in
+    order."""
+
+    def __init__(self, graph: OntologyGraph, rows: np.ndarray, encoder_fingerprint: str = ""):
+        concept_ids, labels, counts = _label_rows(graph)
+        super().__init__(concept_ids, labels, graph.label_ptr)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or len(rows) != len(self.labels):
+            raise MalformedLine(f"rows of shape {rows.shape}, but the ontology has "
+                                f"{len(self.labels)} labels")
+        if not all_finite(rows):
+            raise MalformedLine("vector index rows hold NaN or infinite values")
+        self.dim = rows.shape[1]
+        self.rows = rows
+        self.encoder_fingerprint = encoder_fingerprint
+        self._width = int(counts.max(initial=0))  # the most labels a concept has
+
+    @cached_property
+    def rows32(self) -> np.ndarray:
+        """The rows in float32, for the screen: derived at the first
+        search, never saved; 4 bytes per row and dimension."""
+        with np.errstate(over="ignore"):  # rows too long to screen
+            return self.rows.astype(np.float32)
+
+    @cached_property
+    def _eps(self) -> float:
+        """The most a row's float32 score can differ from its float64 one.
+
+        A float32 score of a row r against a unit query lies within
+        gamma |r| of its float64 score, gamma = (dim + 2) u / (1 - (dim + 2) u),
+        u = 2^-24, in any summation order (Higham, "Accuracy and Stability
+        of Numerical Algorithms", 2nd ed., section 3.1).  1% covers the
+        float64 rounding, and 2^-100 (1 + |r|) float32 underflow; rows
+        long enough to overflow float32 are not screened (infinity).
+        """
+        with np.errstate(over="ignore"):
+            longest = math.sqrt(float(np.einsum("ij,ij->i", self.rows, self.rows).max(initial=0.0)))
+        gamma = (self.dim + 2) * 2.0 ** -24
+        if gamma >= 0.5 or longest >= 2.0 ** 64:
+            return math.inf
+        return 1.01 * gamma / (1.0 - gamma) * longest + 2.0 ** -100 * (1.0 + longest)
+
+    def score(self, query_vec: np.ndarray) -> np.ndarray:
+        """Every row's cosine with the query; a zero-norm query scores 0."""
+        return self.row_scores(_unit(query_vec))
+
+    def row_scores(self, q: np.ndarray | None) -> np.ndarray:
+        """Every row's cosine with the unit query ``q`` (0 for None), each
+        to the bits of a one-thread BLAS product (``_product``)."""
+        if q is None:
+            return np.zeros(len(self))
+        scores = _product(self.rows, q)
+        return np.clip(scores, -1.0, 1.0, out=scores)
+
+    def candidates(self, queries: list, k: int) -> _ConceptRuns:
+        """The concepts that can be among the k best for ``queries`` (unit
+        vectors, or None), with their rows.
+
+        Each row's float32 scores, MAX-folded over the queries, lie within
+        ``_eps`` of its float64 ones.  Let t be the (k w)-th best row, w
+        the most labels a concept has: at least k concepts score t - eps or
+        more, so a concept whose rows all lie below t - 2 eps cannot tie
+        the k-th.  The concepts left are cut again at the k-th best of
+        their float32 scores.  Every concept is a candidate, and the index
+        answers itself, for a query that is not finite, k w of n rows or
+        more, rows too long to screen, or candidates holding more than
+        1/_SCREEN_SHARE of the rows.
+        """
+        n, wide = len(self), k * self._width
+        if wide >= n or self._eps == math.inf:
+            return self
+        screen = np.full(n, -1.0, dtype=np.float32)
+        for q in queries:
+            if q is None:
+                np.maximum(screen, 0.0, out=screen)
+            elif all_finite(q):
+                np.maximum(screen, self.rows32 @ q.astype(np.float32), out=screen)
+            else:
+                return self
+        np.minimum(screen, 1.0, out=screen)
+        rows = np.flatnonzero(screen >= self._floor(np.partition(screen, n - wide)[n - wide]))
+        # the float32 score of each concept these rows reach, the MAX of
+        # its rows, all of which at or above the floor are here; then the
+        # same cut at the k-th of them
+        concepts = self._concept_of_row[rows]  # ascending, as the rows are
+        starts = np.flatnonzero(np.diff(concepts, prepend=-1))
+        upper = np.maximum.reduceat(screen[rows], starts)
+        concepts = concepts[starts[upper >= self._floor(np.partition(upper, len(upper) - k)[-k])]]
+        if (self._bounds[concepts + 1] - self._bounds[concepts]).sum() * _SCREEN_SHARE > n:
+            return self
+        return _Candidates(self, concepts)
+
+    def _floor(self, t: np.float32) -> np.float32:
+        """A float32 at or below t - 2 eps: one step below it rounded to nearest."""
+        return np.nextafter(np.float32(float(t) - 2.0 * self._eps), np.float32(-np.inf))
+
+
+class _Candidates(_ConceptRuns):
+    """Some concepts of a vector index with their rows, which
+    ``row_scores`` scores to the bits ``VectorIndex.row_scores`` gives them."""
+
+    def __init__(self, index: VectorIndex, concepts: np.ndarray):
+        rows, starts, _ = _runs(index._bounds, concepts)
+        picked = rows.tolist()
+        super().__init__(list(map(index.concept_ids.__getitem__, picked)),
+                         list(map(index.labels.__getitem__, picked)),
+                         np.append(starts, len(rows)))
+        # a row keeps its bits in any call that puts it in a whole 4-row
+        # block of a multiple of 32 rows: gather the rows into one, zero
+        # padded; the index's last n % 4 rows are scored as the index's
+        # own call scores them, at the end of a call
+        n = len(index)
+        self._tail_from = n - n % _KERNEL_ROWS
+        split = int(np.searchsorted(rows, self._tail_from))
+        self._block = np.zeros((-(-split // _BLOCK_ROWS) * _BLOCK_ROWS, index.dim))
+        np.take(index.rows, rows[:split], axis=0, out=self._block[:split])
+        self._tail = rows[split:] - self._tail_from
+        self._index_rows = index.rows
+
+    def row_scores(self, q: np.ndarray | None) -> np.ndarray:
+        if q is None:
+            return np.zeros(len(self))
+        scores = (self._block @ q)[:len(self) - len(self._tail)]
+        if len(self._tail):
+            lo = max(self._tail_from - _KERNEL_ROWS, 0)
+            tail = (self._index_rows[lo:] @ q)[self._tail_from - lo:]
+            scores = np.concatenate((scores, tail[self._tail]))
+        return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str], np.ndarray]:
@@ -241,17 +400,21 @@ def search_concept(
 ) -> list[RankedHit]:
     """Concept-to-concept search: one text search per query label, with
     per-target-concept MAX aggregation across the labels.  A text whose
-    embedding, or its norm, overflows raises ``UsageError`` naming it; an
-    embedding that is already NaN or infinite is scored as it is."""
+    embedding, or its norm, overflows raises ``UsageError`` naming it, and
+    so do scores that overflow (rows far longer than unit); an embedding
+    that is already NaN or infinite is scored as it is."""
 
-    def score(text: str) -> np.ndarray:
-        with np.errstate(over="raise"):
-            try:
-                return index.score(encoder.embed(text))
-            except FloatingPointError:
-                raise UsageError(f"the embedding of query {text!r} overflows") from None
+    def query(text: str) -> np.ndarray | None:
+        try:
+            return _unit(encoder.embed(text))
+        except FloatingPointError:
+            raise UsageError(f"the embedding of query {text!r} overflows") from None
 
-    return _search(index, query_labels, k, score)
+    with np.errstate(over="raise"):
+        try:
+            return _search(index, query_labels, k, query)
+        except FloatingPointError:
+            raise UsageError(f"the scores of query {query_labels!r} overflow") from None
 
 
 # --- BM25 index -----------------------------------------------------------------
@@ -334,6 +497,14 @@ class Bm25Index:
         self._norm = k1 * (1.0 - b + b * lens / self.avgdl) if self.avgdl else np.zeros(self.n_docs)
         self._pos = graph.position
         self._fingerprint: str | None = None
+
+    def candidates(self, queries: list[str], k: int) -> Bm25Index:
+        """Every concept: a query's terms reach only the documents they are in."""
+        return self
+
+    def row_scores(self, text: str) -> np.ndarray:
+        """Every document's score for ``text``."""
+        return bm25_all_scores(self, text).scores
 
     def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
         """Each row is a concept."""
@@ -443,7 +614,7 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[RankedHit]:
 
 def bm25_search_concept(index: Bm25Index, query_labels: list[str], k: int) -> list[RankedHit]:
     """MAX aggregation over per-label BM25 scores, mirroring search_concept."""
-    return _search(index, query_labels, k, lambda text: bm25_all_scores(index, text).scores)
+    return _search(index, query_labels, k, lambda text: text)
 
 
 # --- persistence ---------------------------------------------------------------

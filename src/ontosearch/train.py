@@ -19,6 +19,7 @@ import numpy as np
 
 from .embedder import SubwordEmbedder, all_finite, pool
 from .errors import DimensionMismatch, Diverged, EmptyDataset, UsageError
+from .ontology import sorted_unique
 from .rng import SplitMix64
 from .triplets import TripletDataset
 
@@ -117,7 +118,7 @@ def triplet_loss_gradients(va: np.ndarray, vp: np.ndarray, vn: np.ndarray,
 
 def _feature_bags(model: SubwordEmbedder, dataset: TripletDataset) -> dict[int, np.ndarray]:
     """The feature bag of each label ``dataset``'s rows use, by label index."""
-    return {i: model.features(dataset.labels[i]) for i in np.unique(dataset.rows).tolist()}
+    return {i: model.features(dataset.labels[i]) for i in sorted_unique(dataset.rows.ravel()).tolist()}
 
 
 def _dataset_loss(model: SubwordEmbedder, dataset: TripletDataset,

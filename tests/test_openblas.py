@@ -1,7 +1,8 @@
-"""The OpenBLAS thread timeout that importing ontosearch sets: it stops
-idle BLAS workers from spinning and moves no score bit.
+"""OpenBLAS settings against the vector scores: the thread timeout that
+importing ontosearch sets stops idle BLAS workers from spinning and moves
+no score bit, and the thread count moves none either.
 
-Each case runs in a child process, since OpenBLAS reads the variable
+Each case runs in a child process, since OpenBLAS reads the variables
 once, when numpy loads it; this process has loaded it long ago.
 """
 
@@ -31,6 +32,29 @@ queries = rng.standard_normal((5, 64))
 DIGEST = INDEX + """
 import hashlib
 print(hashlib.sha256(b"".join(index.score(q).tobytes() for q in queries)).hexdigest())
+"""
+
+# index.score and one plain ``rows @ q`` over indexes whose row counts leave
+# 0, 1 and 31 rows past a multiple of 32, and one under 32 rows
+THREADS = """
+import hashlib
+import ontosearch
+import numpy as np
+from ontosearch.ontology import Concept, OntologyGraph
+from ontosearch.ranker import VectorIndex
+rng = np.random.default_rng(1)
+base = rng.standard_normal((31105, 64))
+base /= np.linalg.norm(base, axis=1, keepdims=True)
+queries = rng.standard_normal((5, 64))
+ours, plain = hashlib.sha256(), hashlib.sha256()
+for n in (31104, 31105, 31103, 20):
+    rows = base[:n]
+    graph = OntologyGraph(Concept(id=f"c{i:05d}", labels=("x",)) for i in range(n))
+    index = VectorIndex(graph, rows)
+    for q in queries:
+        ours.update(index.score(q).tobytes())
+        plain.update(np.clip(rows @ (q / np.linalg.norm(q)), -1.0, 1.0).tobytes())
+print(ours.hexdigest(), plain.hexdigest())
 """
 
 IDLE = INDEX + """
@@ -77,6 +101,16 @@ def test_default_moves_no_score_bit():
     ours = run_child(DIGEST, OPENBLAS_NUM_THREADS="2")
     theirs = run_child(DIGEST, OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT="28")
     assert ours == theirs
+
+
+def test_scores_equal_a_one_thread_product_at_any_thread_count():
+    """One and two threads give every row the bits of one plain product
+    on one thread, with 0, 1 or 31 rows past the last multiple of 32 and
+    under 32 rows; a plain product on two threads rounds some rows
+    otherwise, where a thread's share ends off a 4-row kernel block."""
+    one = run_child(THREADS, OPENBLAS_NUM_THREADS="1").split()
+    two = run_child(THREADS, OPENBLAS_NUM_THREADS="2").split()
+    assert one[0] == one[1] == two[0]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread")

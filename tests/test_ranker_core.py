@@ -9,11 +9,15 @@
   winners with the per-run ``reduceat`` scoring kept as their reference;
   the memory the index keeps is bounded per row, and a query's memory
   does not grow with its labels.
+* A row's score does not depend on the rows scored with it, and the
+  float32-screened vector search equals, byte for byte, the same search
+  with every concept a candidate.
 """
 
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +35,10 @@ from ontosearch.ranker import (
     Bm25Index,
     RankedHit,
     VectorIndex,
+    _Candidates,
     _label_rows,
     _top_k,
+    _unit,
     build_bm25_index,
     build_vector_index,
     bm25_all_scores,
@@ -356,18 +362,90 @@ def test_wide_concept_equals_reduceat_and_keeps_little_memory_per_row():
     assert winners[-1] == len(ids) - 1 and winners[:-1].tolist() == list(range(0, 30_000, 3))
 
 
-def test_row_scores_are_one_product_over_all_rows():
-    """Scores are byte-equal to one ``rows @ q`` over the whole matrix:
-    BLAS rounds a row by where it falls in its kernel's blocks, so a
-    per-row, batched or chunked product moves the last bit of some rows
-    (with OpenBLAS, a chunk boundary at a multiple of 4 rows does not)."""
+def test_row_scores_are_row_local():
+    """Each row scores to the same bits whichever rows share its BLAS call:
+    the whole index's scores equal, row for row, those of any few of its
+    concepts (gathered into zero-padded 32-row blocks, the index's last
+    n % 4 rows at the end of a call), with 0, 1 or 31 rows past a multiple
+    of 32, and under 32 rows.  That these are the bits of a one-thread
+    product, at one and two threads, is pinned in test_openblas.py."""
     rng = np.random.default_rng(9)
-    rows = rng.standard_normal((1001, 64))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    index = VectorIndex(flat_graph([f"c{i:04d}" for i in range(1001)], ["x"] * 1001), rows)
     q = SubwordEmbedder(bucket_count=512, dim=64, seed=3).embed("pain in the lower back")
-    expected = np.clip(index.rows @ (q / np.linalg.norm(q)), -1.0, 1.0)
-    assert index.score(q).tobytes() == expected.tobytes()
+    for n in (1, 3, 5, 31, 64, 65, 1001, 1024, 1055):
+        rows = rng.standard_normal((n, 64))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        index = VectorIndex(flat_graph([f"c{i:04d}" for i in range(n)], ["x"] * n), rows)
+        whole = index.score(q)
+        for size in (1, 3, 40, n):
+            concepts = np.sort(rng.choice(n, min(size, n), replace=False))
+            part = _Candidates(index, concepts)
+            assert part.row_scores(_unit(q)).tobytes() == whole[concepts].tobytes()
+
+
+# --- the float32 screen against every concept as a candidate ------------------------
+
+
+def every_concept(index, texts, k, encoder):
+    """``search_concept`` with no concept screened out."""
+    with mock.patch.object(VectorIndex, "candidates", lambda self, queries, k: self):
+        return search_concept(index, texts, k, encoder)
+
+
+@st.composite
+def screen_cases(draw):
+    """A 2-D index of up to 150 concepts of 1-4 labels, one of which may
+    hold up to 40, and an encoder of query texts.  Rows repeat a few ties,
+    zero and -0.0 rows and rows 1e-9 apart (one in float32), at a scale
+    that may stop the screen; queries add zero, NaN and infinite vectors
+    and copies of rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(1, 5, draw(st.one_of(st.integers(1, 12), st.integers(13, 150))))
+    if draw(st.integers(0, 3)) == 0:
+        counts[rng.integers(len(counts))] = draw(st.integers(5, 40))
+    graph = OntologyGraph(Concept(id=f"c{c:03d}", labels=tuple(f"l{c}.{j}" for j in range(m)))
+                          for c, m in enumerate(counts.tolist()))
+    n = int(counts.sum())
+    unit = rng.standard_normal((n + 8, 2))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    pool = np.concatenate((TIE_ROWS, unit[n:]))
+    pool = np.concatenate((pool, pool * (1.0 + 1e-9)))
+    rows = np.where(rng.random((n, 1)) < draw(st.sampled_from((0.0, 0.1, 0.5))),
+                    pool[rng.integers(0, len(pool), n)], unit[:n])
+    rows *= draw(st.sampled_from((1.0, 1.0, 1.0, 1e-40, 1e15, 2.0**70)))
+    queries = np.concatenate((TIE_QUERIES, rows[rng.integers(0, n, 4)],
+                              rng.standard_normal((8, 2))))
+    return (VectorIndex(graph, rows),
+            PrecomputedEncoder({str(i): q for i, q in enumerate(queries)}, 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(screen_cases(), st.data())
+def test_screened_search_equals_every_concept_a_candidate(case, data):
+    """Byte for byte: ties, duplicate, zero and -0.0 rows, zero, NaN and
+    infinite queries, one concept far wider than the rest, indexes under
+    and over 32 rows, and k from 1 to past the number of concepts."""
+    index, encoder = case
+    texts = data.draw(st.lists(st.sampled_from(sorted(encoder.index)), min_size=1, max_size=4))
+    k = data.draw(st.one_of(st.integers(1, 2), st.integers(1, 4), st.integers(1, len(index._bounds))))
+    with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
+        assert as_lines(search_concept(index, texts, k, encoder)) == as_lines(
+            every_concept(index, texts, k, encoder))
+
+
+def test_screen_keeps_few_concepts():
+    """On 3,000 random 64-d rows the screen leaves a few concepts of 1,000
+    to score in float64, and the answer is the full scan's."""
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((3000, 64))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    index = VectorIndex(flat_graph([f"c{i // 3:04d}" for i in range(3000)],
+                                   [f"l{i}" for i in range(3000)]), rows)
+    encoder = PrecomputedEncoder({"a": rng.standard_normal(64), "b": rows[7] + 0.1}, 64)
+    for texts in (["a"], ["b"], ["a", "b"]):
+        part = index.candidates([_unit(encoder.embed(t)) for t in texts], 10)
+        assert 10 <= len(part._bounds) - 1 <= 50
+        assert as_lines(search_concept(index, texts, 10, encoder)) == as_lines(
+            every_concept(index, texts, 10, encoder))
 
 
 # --- the row fold against the per-label fold it replaced ----------------------------
