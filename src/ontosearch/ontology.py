@@ -251,16 +251,23 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def runs(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lists ``rows`` of a CSR array with offsets ``ptr``, one after
+    another: the positions of their entries in the array, and where each
+    list starts among them and its length."""
+    lo = ptr[rows]
+    counts = ptr[rows + 1] - lo
+    starts = np.cumsum(counts) - counts
+    return np.repeat(lo - starts, counts) + np.arange(counts.sum()), starts, counts
+
+
 def gather(ptr: np.ndarray, values: np.ndarray, rows: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """Lists ``rows`` of the CSR array ``values`` with offsets ``ptr``, one
     after another: for each entry, the index in ``rows`` of its list, and
     its value."""
-    lo = ptr[rows]
-    counts = ptr[rows + 1] - lo
-    which = np.repeat(np.arange(len(rows)), counts)
-    starts = np.cumsum(counts) - counts  # of each list in the result
-    return which, values[np.repeat(lo - starts, counts) + np.arange(len(which))]
+    positions, _, counts = runs(ptr, rows)
+    return np.repeat(np.arange(len(rows)), counts), values[positions]
 
 
 class _Concepts(Mapping):
@@ -375,7 +382,8 @@ def load_ontology(
     (label_cids, labels), lines, fault = read_table(labels_path, 2)
     labels = list(map(str.strip, labels))
     label_owners = list(map(position.get, label_cids, repeat(-1)))
-    repeat_row = _first_repeated_pair(owners + label_owners, preferred + labels)
+    pairs = list(zip(owners + label_owners, preferred + labels))
+    repeat_row = _first_repeat(pairs) if len(set(pairs)) < len(pairs) else None
     _raise_first(
         fault,
         (_find(label_owners, -1), lambda row: UnknownConceptId(
@@ -435,18 +443,6 @@ def _first_repeat(values: list) -> int | None:
         if value in seen:
             return i
         seen.add(value)
-
-
-def _first_repeated_pair(owners: list[int], labels: list[str]) -> int | None:
-    """``_first_repeat`` of the (owner, label) pairs, which it builds only
-    when two pairs share a hash of both."""
-    keys = np.fromiter(map(hash, labels), np.int64, len(labels))
-    # the owner spread over 64 bits by the golden-ratio constant, as an int64
-    keys ^= np.asarray(owners, dtype=np.int64) * -0x61C8864680B583EB
-    keys.sort()
-    if not (keys[1:] == keys[:-1]).any():
-        return None
-    return _first_repeat(list(zip(owners, labels)))
 
 
 def save_ontology(

@@ -13,8 +13,9 @@ text -- by different means:
 
 Both score a text into one dense array over their rows (a vector row is
 one label of a concept, a BM25 row is a whole concept).  One shared core
-(``_search``) folds a query's texts row by row, takes each concept's MAX
-over its rows, and breaks score ties by ascending concept id.
+(``_search``) folds a query's texts row by row, and the index part that
+holds the rows names the rows behind its k best concepts: each concept's
+MAX over its rows, score ties broken by ascending concept id.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     UsageError,
 )
 from .npzio import decoding, read_lines, save_arrays, writing
-from .ontology import OntologyGraph
+from .ontology import OntologyGraph, runs
 
 _NONE = np.intp(np.iinfo(np.intp).max)  # above every row and text position
 BM25_K1, BM25_B = 1.2, 0.75  # default BM25 term saturation and length normalisation
@@ -96,10 +97,9 @@ def _search(index, texts: list[str], k: int, query) -> list[RankedHit]:
     ``index.candidates`` narrows the index to a part holding every concept
     that can be among the k best: the index itself, or a few of its
     concepts with their rows.  The part's ``row_scores`` gives the score of
-    each of its rows (a fresh array, which the fold overwrites), its
-    ``concept_max`` turns the folded row scores into one score per concept,
-    ``hits`` picks the concepts that may be returned, and ``winners`` names
-    the row, and so the label, behind each returned concept's score.
+    each of its rows (a fresh array, which the fold overwrites), and its
+    ``top`` names the rows, and so the labels, behind its k best concepts,
+    best first.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -108,10 +108,7 @@ def _search(index, texts: list[str], k: int, query) -> list[RankedHit]:
     queries = list(map(query, texts))
     part = index.candidates(queries, k)
     row_scores, first = _fold_rows(part.row_scores, queries)
-    best = part.concept_max(row_scores)
-    hits = part.hits(best)
-    top = hits[_top_k(best[hits], k)]
-    rows = part.winners(row_scores, first, best, top)
+    rows = part.top(row_scores, first, k)
     return [RankedHit(part.concept_ids[row], part.labels[row], value, rank)
             for rank, (row, value) in enumerate(zip(rows.tolist(), row_scores[rows].tolist()), 1)]
 
@@ -161,35 +158,11 @@ def _unit(query_vec: np.ndarray) -> np.ndarray | None:
     return None if norm < _ZERO_NORM_EPS else q / norm
 
 
-def _product(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``rows @ q``, each row to the bits of a one-thread product at any
-    thread count up to 8: whole blocks of ``_BLOCK_ROWS`` rows in one call,
-    and the rest as the end of a call that takes the last block too, never
-    alone (numpy hands a one-row product to ``ddot``, which rounds otherwise)."""
-    n = len(rows)
-    m = n - n % _BLOCK_ROWS
-    if m in (0, n):
-        return rows @ q
-    scores = np.empty(n)
-    np.matmul(rows[:m], q, out=scores[:m])
-    scores[m:] = (rows[m - _BLOCK_ROWS:] @ q)[_BLOCK_ROWS:]
-    return scores
-
-
-def _runs(bounds: np.ndarray, concepts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of ``concepts``, one run after another, as indexes into the
-    rows that ``bounds`` splits, with where each run starts among them and
-    its length."""
-    lo = bounds[concepts]
-    counts = bounds[concepts + 1] - lo
-    starts = np.cumsum(counts) - counts
-    return np.repeat(lo - starts, counts) + np.arange(counts.sum()), starts, counts
-
-
 class _ConceptRuns:
     """Rows in one run per concept, the concepts in ascending id order:
     concept c owns rows ``bounds[c]:bounds[c + 1]``, and row r is label
-    ``labels[r]`` of concept ``concept_ids[r]``."""
+    ``labels[r]`` of concept ``concept_ids[r]``.  A subclass supplies
+    ``_dot(q)``, the product of its rows with q."""
 
     def __init__(self, concept_ids: list[str], labels: list[str], bounds: np.ndarray):
         self.concept_ids = concept_ids
@@ -200,26 +173,27 @@ class _ConceptRuns:
     def __len__(self) -> int:
         return len(self.concept_ids)
 
-    def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
-        """Each concept's MAX over its rows (NaN if any is NaN)."""
+    def row_scores(self, q: np.ndarray | None) -> np.ndarray:
+        """Every row's cosine with the unit query ``q`` (0 for None), each
+        to the bits of a one-thread BLAS product."""
+        if q is None:
+            return np.zeros(len(self))
+        scores = self._dot(q)
+        return np.clip(scores, -1.0, 1.0, out=scores)
+
+    def top(self, row_scores: np.ndarray, first: np.ndarray, k: int) -> np.ndarray:
+        """The rows behind the k best concepts, best first.  A concept
+        scores the MAX over its rows (NaN if any is NaN), and its row is, of
+        the earliest text reaching that score (``first`` of each row, from
+        ``_fold_rows``), the first row reaching it, read from the concept's
+        own run."""
         best = np.full(len(self._bounds) - 1, -np.inf)
         with np.errstate(invalid="ignore"):  # a NaN row makes its concept NaN
             np.maximum.at(best, self._concept_of_row, row_scores)
-        return best
-
-    def hits(self, best: np.ndarray) -> np.ndarray:
-        """Every concept has a score."""
-        return np.arange(len(best))
-
-    def winners(self, row_scores: np.ndarray, first: np.ndarray, best: np.ndarray,
-                concepts: np.ndarray) -> np.ndarray:
-        """The row behind each of ``concepts``' score ``best``: of the
-        earliest text reaching it (``first`` of each row, from
-        ``_fold_rows``), the first row reaching it.  Only the row runs of
-        ``concepts`` are read."""
+        concepts = _top_k(best, k)
         if not len(concepts):
             return concepts
-        rows, starts, counts = _runs(self._bounds, concepts)
+        rows, starts, counts = runs(self._bounds, concepts)
         labels = first[rows]
         reached = ~(row_scores[rows] < np.repeat(best[concepts], counts))  # NaN-safe ">="
         earliest = np.minimum.reduceat(np.where(reached, labels, _NONE), starts)
@@ -275,13 +249,20 @@ class VectorIndex(_ConceptRuns):
         """Every row's cosine with the query; a zero-norm query scores 0."""
         return self.row_scores(_unit(query_vec))
 
-    def row_scores(self, q: np.ndarray | None) -> np.ndarray:
-        """Every row's cosine with the unit query ``q`` (0 for None), each
-        to the bits of a one-thread BLAS product (``_product``)."""
-        if q is None:
-            return np.zeros(len(self))
-        scores = _product(self.rows, q)
-        return np.clip(scores, -1.0, 1.0, out=scores)
+    def _dot(self, q: np.ndarray) -> np.ndarray:
+        """``rows @ q``, each row to the bits of a one-thread product at any
+        thread count up to 8: whole blocks of ``_BLOCK_ROWS`` rows in one
+        call, and the rest as the end of a call that takes the last block
+        too, never alone (numpy hands a one-row product to ``ddot``, which
+        rounds otherwise)."""
+        rows, n = self.rows, len(self)
+        m = n - n % _BLOCK_ROWS
+        if m in (0, n):
+            return rows @ q
+        scores = np.empty(n)
+        np.matmul(rows[:m], q, out=scores[:m])
+        scores[m:] = (rows[m - _BLOCK_ROWS:] @ q)[_BLOCK_ROWS:]
+        return scores
 
     def candidates(self, queries: list, k: int) -> _ConceptRuns:
         """The concepts that can be among the k best for ``queries`` (unit
@@ -331,7 +312,7 @@ class _Candidates(_ConceptRuns):
     ``row_scores`` scores to the bits ``VectorIndex.row_scores`` gives them."""
 
     def __init__(self, index: VectorIndex, concepts: np.ndarray):
-        rows, starts, _ = _runs(index._bounds, concepts)
+        rows, starts, _ = runs(index._bounds, concepts)
         picked = rows.tolist()
         super().__init__(list(map(index.concept_ids.__getitem__, picked)),
                          list(map(index.labels.__getitem__, picked)),
@@ -348,15 +329,13 @@ class _Candidates(_ConceptRuns):
         self._tail = rows[split:] - self._tail_from
         self._index_rows = index.rows
 
-    def row_scores(self, q: np.ndarray | None) -> np.ndarray:
-        if q is None:
-            return np.zeros(len(self))
+    def _dot(self, q: np.ndarray) -> np.ndarray:
         scores = (self._block @ q)[:len(self) - len(self._tail)]
         if len(self._tail):
             lo = max(self._tail_from - _KERNEL_ROWS, 0)
             tail = (self._index_rows[lo:] @ q)[self._tail_from - lo:]
             scores = np.concatenate((scores, tail[self._tail]))
-        return np.clip(scores, -1.0, 1.0, out=scores)
+        return scores
 
 
 def _label_rows(graph: OntologyGraph) -> tuple[list[str], list[str], np.ndarray]:
@@ -494,7 +473,10 @@ class Bm25Index:
         self._doc = np.repeat(np.arange(self.n_docs), [len(tf) for tf in term_freqs])[order]
         self._tf = np.fromiter(chain.from_iterable(map(dict.values, term_freqs)), np.int64)[order]
         lens = np.asarray(self.doc_lens, dtype=np.float64)
-        self._norm = k1 * (1.0 - b + b * lens / self.avgdl) if self.avgdl else np.zeros(self.n_docs)
+        with np.errstate(over="ignore"):  # an avgdl of 0 leaves every length 0
+            self._norm = k1 * (1.0 - b + b * lens / self.avgdl) if self.avgdl else lens
+        if not all_finite(self._norm):
+            raise UsageError(f"k1 = {k1} with b = {b} overflows a document's length normalisation")
         self._pos = graph.position
         self._fingerprint: str | None = None
 
@@ -506,17 +488,11 @@ class Bm25Index:
         """Every document's score for ``text``."""
         return bm25_all_scores(self, text).scores
 
-    def concept_max(self, row_scores: np.ndarray) -> np.ndarray:
-        """Each row is a concept."""
-        return row_scores
-
-    def hits(self, best: np.ndarray) -> np.ndarray:
-        """A concept scoring 0 (no query term in its document) is no hit."""
-        return np.flatnonzero(best > 0.0)
-
-    def winners(self, row_scores, first, best, concepts: np.ndarray) -> np.ndarray:
-        """Each row is a concept, labelled with its preferred label."""
-        return concepts
+    def top(self, row_scores: np.ndarray, first: np.ndarray, k: int) -> np.ndarray:
+        """The k best documents, each a concept labelled with its preferred
+        label; one scoring 0 (no query term in it) is no hit."""
+        hits = np.flatnonzero(row_scores > 0.0)
+        return hits[_top_k(row_scores[hits], k)]
 
     def idf(self, term: str) -> float:
         df = self.df.get(term, 0)
@@ -582,18 +558,21 @@ def bm25_score(index: Bm25Index, query_tokens: list[str], concept_id: str) -> fl
 class Bm25Scores(Mapping):
     """One text's BM25 scores as the dense array of the ranker contract;
     read as a mapping, it holds {concept_id: score} for the concepts
-    scoring > 0."""
+    scoring > 0, found at the first such read."""
 
     def __init__(self, index: Bm25Index, scores: np.ndarray):
         self.index = index
         self.scores = scores
-        self.hits = index.hits(scores)
+
+    @cached_property
+    def _hits(self) -> np.ndarray:
+        return np.flatnonzero(self.scores > 0.0)
 
     def __len__(self) -> int:
-        return len(self.hits)
+        return len(self._hits)
 
     def __iter__(self) -> Iterator[str]:
-        return (self.index.concept_ids[r] for r in self.hits.tolist())
+        return (self.index.concept_ids[r] for r in self._hits.tolist())
 
     def __getitem__(self, concept_id: str) -> float:
         pos = self.index._pos.get(concept_id)
@@ -613,8 +592,13 @@ def bm25_search(index: Bm25Index, query: str, k: int) -> list[RankedHit]:
 
 
 def bm25_search_concept(index: Bm25Index, query_labels: list[str], k: int) -> list[RankedHit]:
-    """MAX aggregation over per-label BM25 scores, mirroring search_concept."""
-    return _search(index, query_labels, k, lambda text: text)
+    """MAX aggregation over per-label BM25 scores, mirroring search_concept;
+    scores that overflow (a huge k1) raise ``UsageError`` naming the query."""
+    with np.errstate(over="raise"):
+        try:
+            return _search(index, query_labels, k, lambda text: text)
+        except FloatingPointError:
+            raise UsageError(f"the BM25 scores of query {query_labels!r} overflow") from None
 
 
 # --- persistence ---------------------------------------------------------------

@@ -746,6 +746,67 @@ def test_query_whose_embedding_overflows(overflowing_query_index, text):
     assert repr(text) in error["message"]
 
 
+def bm25_overflow_ontology(tmp_path, *extra_concepts):
+    """Concepts a (Fatigue, labelled Fatigue state too) and b (Other) and
+    ``extra_concepts``, no relations: with k1 near the float maximum, a's
+    two counts of ``fatigue`` overflow its score."""
+    concepts = ["a\tFatigue", "b\tOther", *extra_concepts]
+    (tmp_path / "concepts.tsv").write_text("\n".join(concepts) + "\n", encoding="utf-8")
+    (tmp_path / "labels.tsv").write_text("a\tFatigue state\n", encoding="utf-8")
+    (tmp_path / "relations.tsv").write_text("", encoding="utf-8")
+    return ["--concepts", str(tmp_path / "concepts.tsv"), "--labels", str(tmp_path / "labels.tsv"),
+            "--relations", str(tmp_path / "relations.tsv")]
+
+
+def one_error_line(argv, code):
+    """Run the CLI in a child process, where numpy's warnings are not
+    errors: exit ``code``, nothing on stdout and one JSON line on stderr."""
+    result = subprocess.run([sys.executable, "-m", "ontosearch", *argv], capture_output=True,
+                            text=True, check=False, env=package_env())
+    assert result.returncode == code, result.stderr
+    assert result.stdout == "" and result.stderr.count("\n") == 1, result.stderr
+    return json.loads(result.stderr)
+
+
+def test_query_whose_bm25_score_overflows(tmp_path):
+    """A k1 near the float maximum with b = 0 is a valid index, but a
+    query whose score overflows gets one JSON line naming it, exit 2,
+    never an ``Infinity`` score."""
+    index = tmp_path / "index"
+    assert main(["index", *bm25_overflow_ontology(tmp_path), "--bm25", "--k1", "1.7e308",
+                 "--b", "0", "--out", str(index)]) == 0
+    error = one_error_line(["query", "--index", str(index), "--ranker", "bm25",
+                            "--q", "fatigue"], 2)
+    assert error["error"] == "app.UsageError"
+    assert repr("fatigue") in error["message"]
+    # a query that reaches only b's document scores as it did
+    result = subprocess.run([sys.executable, "-m", "ontosearch", "query", "--index", str(index),
+                             "--ranker", "bm25", "--q", "other"], capture_output=True,
+                            text=True, check=True, env=package_env())
+    assert [json.loads(line)["concept_id"] for line in result.stdout.splitlines()] == ["b"]
+    assert result.stderr == ""
+
+
+def test_bm25_length_normalisation_that_overflows(tmp_path):
+    """A k1 whose length normalisation overflows for a long document is
+    refused at build (exit 2, no index) and, written into bm25.json by
+    hand, at load (exit 1, naming the file)."""
+    args = bm25_overflow_ontology(tmp_path, "c\tx y z w v u")
+    error = one_error_line(["index", *args, "--bm25", "--k1", "1.7e308", "--b", "1",
+                            "--out", str(tmp_path / "refused")], 2)
+    assert error["error"] == "app.UsageError"
+    assert error["message"].startswith("k1 = 1.7e+308")
+    assert not (tmp_path / "refused").exists()
+
+    index = tmp_path / "index"
+    assert main(["index", *args, "--bm25", "--b", "1", "--out", str(index)]) == 0
+    _rewrite_json(k1=1.7e308)(index / "bm25.json")
+    error = one_error_line(["query", "--index", str(index), "--ranker", "bm25",
+                            "--q", "x y"], 1)
+    assert error["error"] == "io.MalformedLine"
+    assert error["message"].count("bm25.json") == 1
+
+
 # every config key, with a value of its type; the paths.* input files exist
 def config_values(tmp_path):
     stop = tmp_path / "stop.txt"

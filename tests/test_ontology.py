@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from ontosearch.ontology import (
     get_uncles,
     load_ontology,
     relation_between,
+    runs,
     save_ontology,
 )
 
@@ -408,3 +410,26 @@ def test_long_cycle_behind_a_long_tail_is_named_in_linear_time():
     cycle = cycle_of(concepts)
     assert time.perf_counter() - start < 1.0
     assert cycle == [f"b{i:05d}" for i in range(n)] + ["b00000"]
+
+
+def reference_runs(ptr, rows):
+    """``runs`` one list at a time, in Python."""
+    positions, starts, counts = [], [], []
+    for row in rows:
+        starts.append(len(positions))
+        counts.append(ptr[row + 1] - ptr[row])
+        positions += range(ptr[row], ptr[row + 1])
+    return positions, starts, counts
+
+
+# five lists of 2, 0, 3, 0 and 1 entries: zero-length lists between others and last but one
+RUN_PTR = [0, 2, 2, 5, 5, 6]
+
+
+@pytest.mark.parametrize("rows", [[], [1], [3, 1], [4], [0, 1, 2, 3, 4], [4, 2, 0], [2, 2, 0],
+                                  [3, 4, 3]],
+                         ids=["empty", "one-empty", "two-empty", "last", "all", "reversed",
+                              "repeated", "empty-around-last"])
+def test_runs_equal_a_python_reference(rows):
+    got = runs(np.array(RUN_PTR, dtype=np.intp), np.array(rows, dtype=np.intp))
+    assert [part.tolist() for part in got] == list(reference_runs(RUN_PTR, rows))

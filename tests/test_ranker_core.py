@@ -5,10 +5,10 @@
 * A property test compares every entry point with a plain dict-and-sort
   reference ranker on small random ontologies full of ties.
 * The row fold of a concept query is compared byte for byte with the
-  per-label fold it replaced, and the vector index's concept MAX and
-  winners with the per-run ``reduceat`` scoring kept as their reference;
-  the memory the index keeps is bounded per row, and a query's memory
-  does not grow with its labels.
+  per-label fold it replaced, and the vector index's ``top`` (concept MAX,
+  top k and winning rows) with the per-run ``reduceat`` scoring kept as
+  its reference; the memory the index keeps is bounded per row, and a
+  query's memory does not grow with its labels.
 * A row's score does not depend on the rows scored with it, and the
   float32-screened vector search equals, byte for byte, the same search
   with every concept a candidate.
@@ -264,7 +264,7 @@ def test_bm25_documents_not_one_per_concept_are_rejected(documents):
         Bm25Index(THREE_ROWS, [{"x": 1}] * documents, DEFAULT_STOPWORDS, BM25_K1, BM25_B)
 
 
-# --- concept MAX and winners against the reduceat reference ------------------------
+# --- top against the reduceat reference ---------------------------------------------
 
 
 def reduceat_score(index, query_vec):
@@ -308,20 +308,28 @@ def run_indexes(draw):
     return graph, VectorIndex(graph, np.array(rows))
 
 
-def contract_scoring(index, query_vec, concepts=None):
-    """Per-concept (score, winning row) of one query through the row
-    contract: ``score``, ``concept_max``, then ``winners`` of ``concepts``
-    (all, by default) with every row reached by the only text."""
+def contract_top(index, query_vec, k=None):
+    """The scores and winning rows of one query's k best concepts (all, by
+    default), best first, through the row contract: ``score``, then
+    ``top`` with every row reached by the only text."""
     rows = index.score(query_vec)
-    best = index.concept_max(rows)
-    concepts = np.arange(len(best)) if concepts is None else concepts
-    winners = index.winners(rows, np.zeros(len(rows), dtype=np.intp), best, concepts)
-    return best, rows[winners], winners
+    k = len(index._bounds) - 1 if k is None else k
+    top = index.top(rows, np.zeros(len(rows), dtype=np.intp), k)
+    return rows[top], top
+
+
+def reference_top(index, query_vec):
+    """``reduceat_score``'s (score, winning row) of every concept, best
+    first, score ties (and NaNs, last) in ascending concept id order."""
+    scores, winners = reduceat_score(index, query_vec)
+    order = np.argsort(-scores, kind="stable")
+    return scores[order], winners[order]
 
 
 @settings(max_examples=300, deadline=None)
-@given(run_indexes(), st.lists(st.sampled_from(TIE_QUERIES), min_size=1, max_size=4))
-def test_concept_max_and_winners_equal_reduceat(graph_index, queries):
+@given(run_indexes(), st.lists(st.sampled_from(TIE_QUERIES), min_size=1, max_size=4),
+       st.integers(1, 13))
+def test_concept_max_and_winners_equal_reduceat(graph_index, queries, k):
     graph, index = graph_index
     # rows follow the graph, grouped per concept in ascending id order,
     # whatever order the concepts were inserted in
@@ -329,15 +337,14 @@ def test_concept_max_and_winners_equal_reduceat(graph_index, queries):
     assert index.concept_ids == sorted(index.concept_ids)
     for query in queries:
         with np.errstate(invalid="ignore"):  # an infinite query divides inf by inf
-            best, scores, winners = contract_scoring(index, np.array(query))
-            expected_scores, expected_winners = reduceat_score(index, np.array(query))
-            # hits in any order, here descending, each resolved from its own run
-            backwards = np.arange(len(best))[::-1]
-            _, _, some = contract_scoring(index, np.array(query), backwards)
-        assert np.array_equal(best, expected_scores, equal_nan=True)
-        assert scores.tobytes() == expected_scores.tobytes()
+            scores, winners = contract_top(index, np.array(query))
+            expected_scores, expected_winners = reference_top(index, np.array(query))
+            # fewer concepts: the first k, each resolved from its own run
+            some_scores, some = contract_top(index, np.array(query), k)
+        assert scores.tobytes() == expected_scores.tobytes()  # NaN and -0.0 included
         assert winners.tolist() == expected_winners.tolist()
-        assert some.tolist() == expected_winners[backwards].tolist()
+        assert some_scores.tobytes() == expected_scores[:k].tobytes()
+        assert some.tolist() == expected_winners[:k].tolist()
 
 
 def test_wide_concept_equals_reduceat_and_keeps_little_memory_per_row():
@@ -355,11 +362,12 @@ def test_wide_concept_equals_reduceat_and_keeps_little_memory_per_row():
     finally:
         tracemalloc.stop()
     assert kept <= 32 * len(ids)
-    best, scores, winners = contract_scoring(index, np.ones(1))
-    expected_scores, expected_winners = reduceat_score(index, np.ones(1))
-    assert best.tobytes() == scores.tobytes() == expected_scores.tobytes()
+    scores, winners = contract_top(index, np.ones(1))
+    expected_scores, expected_winners = reference_top(index, np.ones(1))
+    assert scores.tobytes() == expected_scores.tobytes()
     assert winners.tolist() == expected_winners.tolist()
-    assert winners[-1] == len(ids) - 1 and winners[:-1].tolist() == list(range(0, 30_000, 3))
+    # the wide concept scores 1 and ranks first; the rest tie at 0, in id order
+    assert winners[0] == len(ids) - 1 and winners[1:].tolist() == list(range(0, 30_000, 3))
 
 
 def test_row_scores_are_row_local():

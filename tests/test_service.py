@@ -1,8 +1,11 @@
 import http.client
 import json
+import os
 import re
 import socket
 import string
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -302,6 +305,66 @@ def test_query_whose_embedding_overflows_is_400(overflow_served, text):
         error = json.loads(answer)
         assert error["error"] == "app.UsageError"
         assert repr(text) in error["message"]
+
+
+def bm25_overflow_index(tmp_path, k1, b):
+    """A BM25 index of concepts a (Fatigue, labelled Fatigue state too), b
+    (Other) and c (a six-token label); a's score for ``fatigue`` overflows
+    with k1 near the float maximum, and so does c's length normalisation
+    with b = 1."""
+    (tmp_path / "concepts.tsv").write_text("a\tFatigue\nb\tOther\nc\tx y z w v u\n",
+                                           encoding="utf-8")
+    (tmp_path / "labels.tsv").write_text("a\tFatigue state\n", encoding="utf-8")
+    (tmp_path / "relations.tsv").write_text("", encoding="utf-8")
+    assert main(["index", *(f"--{name}={tmp_path / name}.tsv"
+                            for name in ("concepts", "labels", "relations")),
+                 "--bm25", "--k1", str(k1), "--b", str(b), "--out", str(tmp_path / "index")]) == 0
+    return tmp_path / "index"
+
+
+@pytest.fixture(scope="module")
+def bm25_overflow_served(tmp_path_factory):
+    index = bm25_overflow_index(tmp_path_factory.mktemp("bm25-overflow"), 1.7e308, 0)
+    server = make_server(SearchService(store.load_bundle(index)))
+    start_in_thread(server)
+    host, port = server.socket.getsockname()
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+
+
+def test_query_whose_bm25_score_overflows_is_400(bm25_overflow_served):
+    """/search and /match answer 400 naming the query, never an
+    ``Infinity`` score; a query whose scores are finite is answered."""
+    for status, answer in (
+            get(f"{bm25_overflow_served}/search?q=fatigue&ranker=bm25"),
+            post(f"{bm25_overflow_served}/match", {"labels": ["Other", "fatigue"],
+                                                   "ranker": "bm25"})):
+        assert status == 400, answer
+        error = json.loads(answer)
+        assert error["error"] == "app.UsageError"
+        assert repr("fatigue") in error["message"]
+    status, answer = get(f"{bm25_overflow_served}/search?q=other&ranker=bm25")
+    assert status == 200
+    assert [hit["concept_id"] for hit in json.loads(answer)] == ["b"]
+
+
+def test_serve_refuses_a_bm25_length_normalisation_that_overflows(tmp_path):
+    """A k1 written into bm25.json by hand whose length normalisation
+    overflows stops ``serve`` before it binds: one JSON line naming the
+    file, exit 1, and no numpy warning."""
+    index = bm25_overflow_index(tmp_path, 1.2, 1)
+    payload = json.loads((index / "bm25.json").read_text(encoding="utf-8"))
+    (index / "bm25.json").write_text(json.dumps({**payload, "k1": 1.7e308}), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "ontosearch", "serve", "--index", str(index),
+         "--bind", "127.0.0.1:0"], capture_output=True, text=True, check=False, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(service.__file__).parents[1])})
+    assert result.returncode == 1
+    assert result.stdout == "" and result.stderr.count("\n") == 1, result.stderr
+    error = json.loads(result.stderr)
+    assert error["error"] == "io.MalformedLine"
+    assert error["message"].count("bm25.json") == 1
 
 
 def post_raw(base, content_length: str, body: bytes = b""):
